@@ -186,6 +186,8 @@ class StepRecognizer:
         if confidence < self.config.detection_threshold:
             return []
         current = self._current
+        if tuple(current) == state.statuses:
+            return []
         emitted: list[StepEvent] = []
         for i, value in enumerate(state.statuses):
             value = int(value)

@@ -17,10 +17,10 @@ from .baselines import BaselineConfig, Variant, run_baseline
 from .formats import (
     BUILTIN_PROCEDURES,
     FormatError,
+    iter_stream_file,
     load_builtin_procedure,
     read_ground_truth,
     read_procedure,
-    read_stream,
     report_to_row,
     validate_file,
     write_ground_truth,
@@ -76,7 +76,8 @@ def cmd_run(args) -> int:
     if args.decay is not None:
         overrides["decay"] = args.decay
     config = BaselineConfig(variant=variant, **overrides)
-    manifest, frames = read_stream(args.stream)
+    # frames are parsed as the recognizer consumes them
+    manifest, frames = iter_stream_file(args.stream, spec)
     sequence = run_baseline(config, spec, frames, manifest.fps, manifest.recording_id)
     write_ground_truth(args.out, sequence, spec, source=EventSource.RECOGNIZED)
     return EXIT_OK
@@ -169,7 +170,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="check files for format and consistency errors")
     p.add_argument("paths", nargs="+", help="files to validate")
-    p.add_argument("--spec", help=f"validate step files against this procedure ({spec_help})")
+    p.add_argument(
+        "--spec", help=f"validate step and stream files against this procedure ({spec_help})"
+    )
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("run", help="run a baseline recognizer over a detection stream")

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from importlib import resources
 from pathlib import Path
@@ -104,7 +105,13 @@ def _check_version(version, path, line) -> None:
 def _as_number(value, what, path, line) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{what} must be a number", path, line)
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise FormatError(f"{what} must be finite, got {value}", path, line)
+    return number
 
 
 def _as_int(value, what, path, line) -> int:
@@ -146,23 +153,35 @@ def _parse_manifest(obj, expected_kind: str | None, path, line=1) -> FileManifes
 
 
 def _iter_jsonl(path):
-    """Yield (line_number, parsed object) for each non-blank line."""
+    """Yield (line_number, parsed object) for each non-blank line.
+
+    The file is read one line at a time and closed when the generator
+    ends or is closed. Lines are numbered as str.splitlines() numbers
+    the whole text; a UTF-8 error names the newline-delimited line that
+    holds the bad byte.
+    """
     try:
-        raw_bytes = Path(path).read_bytes()
+        handle = open(path, "rb")
     except OSError as exc:
         raise FormatError(f"cannot read file: {exc.strerror or exc}", path) from None
-    try:
-        text = raw_bytes.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = raw_bytes[: exc.start].count(b"\n") + 1
-        raise FormatError(f"file is not valid UTF-8: {exc.reason}", path, line) from None
-    for number, raw in enumerate(text.splitlines(), start=1):
-        if not raw.strip():
-            continue
-        try:
-            yield number, json.loads(raw)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc.msg}", path, number) from None
+    with handle:
+        number = 0
+        for physical, raw_bytes in enumerate(handle, start=1):
+            try:
+                text = raw_bytes.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(
+                    f"file is not valid UTF-8: {exc.reason}", path, physical
+                ) from None
+            # splitlines also breaks on \r, \x85, \u2028 and the like
+            for raw in text.splitlines():
+                number += 1
+                if not raw.strip():
+                    continue
+                try:
+                    yield number, json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise FormatError(f"invalid JSON: {exc.msg}", path, number) from None
 
 
 def _read_jsonl(path, expected_kind):
@@ -189,12 +208,25 @@ def _parse_state_field(obj, path, line) -> AssemblyState:
 # detection streams
 
 
-def read_stream(path) -> tuple[FileManifest, list[DetectionFrame]]:
-    """Read a detection-stream file."""
+def iter_stream_file(
+    path, spec: ProcedureSpec | None = None
+) -> tuple[FileManifest, Iterator[DetectionFrame]]:
+    """Open a detection-stream file: the manifest now, the frames lazily.
+
+    The manifest is checked before this returns. Frames are parsed as
+    the iterator is consumed, so memory does not grow with the file; a
+    bad frame raises its located FormatError when it is reached. Each
+    distinct state string is parsed and width-checked once. With a
+    procedure, every state must have its component count.
+    """
     manifest, rows = _read_jsonl(path, "stream")
-    frames: list[DetectionFrame] = []
+    return manifest, _stream_frames(path, manifest.fps, rows, spec)
+
+
+def _stream_frames(path, fps: float, rows, spec: ProcedureSpec | None):
+    states: dict[str, AssemblyState] = {}
+    width = spec.n_components if spec is not None else None
     last_frame = -1
-    state_width: int | None = None
     for line, obj in rows:
         if not isinstance(obj, dict):
             raise FormatError("frame record must be a JSON object", path, line)
@@ -213,15 +245,22 @@ def read_stream(path) -> tuple[FileManifest, list[DetectionFrame]]:
         for raw in raw_detections:
             if not isinstance(raw, dict):
                 raise FormatError("detection must be a JSON object", path, line)
-            state = _parse_state_field(raw, path, line)
-            if state_width is None:
-                state_width = len(state)
-            elif len(state) != state_width:
-                raise FormatError(
-                    f"state width {len(state)} differs from earlier width {state_width}",
-                    path,
-                    line,
-                )
+            text = raw.get("state")
+            state = states.get(text) if isinstance(text, str) else None
+            if state is None:
+                state = _parse_state_field(raw, path, line)
+                if width is None:
+                    width = len(state)
+                elif len(state) != width:
+                    if spec is not None:
+                        message = (
+                            f"state has {len(state)} components, procedure "
+                            f"'{spec.id}' expects {width}"
+                        )
+                    else:
+                        message = f"state width {len(state)} differs from earlier width {width}"
+                    raise FormatError(message, path, line)
+                states[text] = state
             confidence = _as_number(raw.get("conf"), "'conf'", path, line)
             box = None
             if raw.get("box") is not None:
@@ -233,10 +272,13 @@ def read_stream(path) -> tuple[FileManifest, list[DetectionFrame]]:
                 detections.append(Detection(state, confidence, box))
             except ValueError as exc:
                 raise FormatError(str(exc), path, line) from None
-        frames.append(
-            DetectionFrame(frame=frame, time_s=frame / manifest.fps, detections=tuple(detections))
-        )
-    return manifest, frames
+        yield DetectionFrame(frame, frame / fps, tuple(detections))
+
+
+def read_stream(path) -> tuple[FileManifest, list[DetectionFrame]]:
+    """Read a whole detection-stream file into memory."""
+    manifest, frames = iter_stream_file(path)
+    return manifest, list(frames)
 
 
 def write_stream(path, manifest: FileManifest, frames) -> None:
@@ -665,6 +707,8 @@ def sniff_kind(path) -> str:
             _, first = next(rows)
         except StopIteration:
             raise FormatError("file is empty, expected a manifest line", path, 1) from None
+        finally:
+            rows.close()
         return _parse_manifest(first, None, path).kind
     document = _read_json_document(path, None)
     kind = document.get("kind")
@@ -677,12 +721,14 @@ def validate_file(path, spec: ProcedureSpec | None = None) -> list[str]:
     """All diagnostics for one file; empty means valid.
 
     Step-sequence files are fully validated when a procedure is given
-    and structurally (frames, states, confidences) otherwise.
+    and structurally (frames, states, confidences) otherwise. A given
+    procedure also fixes the state width of stream files.
     """
     try:
         kind = sniff_kind(path)
         if kind == "stream":
-            read_stream(path)
+            for _ in iter_stream_file(path, spec)[1]:
+                pass
         elif kind == "ground_truth":
             if spec is not None:
                 read_ground_truth(path, spec)

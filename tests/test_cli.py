@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import json
+import tracemalloc
 
 import pytest
 
-from helpers import linear_spec, sequence
+from helpers import independent_spec, linear_spec, sequence
 from psrkit import (
     AssemblyState,
     Detection,
@@ -12,6 +13,8 @@ from psrkit import (
     ErrorInjection,
     EventSource,
     SimConfig,
+    iter_stream,
+    sample_execution,
     simulate,
 )
 from psrkit.cli import main
@@ -126,6 +129,44 @@ class TestRun:
         assert rc == 0
         _, predicted = read_ground_truth(out, spec)
         assert predicted.events == ()
+
+    def test_stream_width_checked_against_spec(self, tmp_path, capsys):
+        _, _, paths = make_scenario_files(tmp_path)
+        spec_path = tmp_path / "wide.json"
+        write_procedure(spec_path, independent_spec(15))
+        out = tmp_path / "pred.jsonl"
+        rc = main(
+            ["run", "--baseline", "b1", "--spec", str(spec_path),
+             "--stream", str(paths["stream"]), "--out", str(out)]
+        )
+        assert rc == 1
+        lines = paths["stream"].read_text(encoding="utf-8").splitlines()
+        first = next(n for n, line in enumerate(lines, start=1) if '"state"' in line)
+        err = capsys.readouterr().err
+        assert f"{paths['stream']}:{first}: state has 11 components" in err
+        assert "expects 15" in err
+        assert not out.exists()
+
+    def test_run_memory_does_not_grow_with_the_stream(self, tmp_path):
+        spec = load_builtin_procedure(CAR)
+        cfg = SimConfig(seed=21, misclass_prob=0.05)
+        _, timeline = sample_execution(spec, cfg=cfg)
+        stream_path = tmp_path / "long.stream.jsonl"
+        write_stream(
+            stream_path,
+            FileManifest(kind="stream", recording_id="long", fps=cfg.fps),
+            iter_stream(timeline, cfg, n_frames=20_000),
+        )
+        argv = ["run", "--baseline", "b3", "--spec", CAR,
+                "--stream", str(stream_path), "--out", str(tmp_path / "pred.jsonl")]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 2 * 1024 * 1024, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestEval:

@@ -27,6 +27,7 @@ from psrkit.formats import (
     BUILTIN_PROCEDURES,
     FileManifest,
     FormatError,
+    iter_stream_file,
     load_builtin_procedure,
     read_ground_truth,
     read_procedure,
@@ -40,6 +41,7 @@ from psrkit.formats import (
     write_scenario,
     write_stream,
 )
+from test_acceptance import mutate_bytes
 
 FPS = 10.0
 
@@ -175,6 +177,125 @@ class TestStreamErrors:
         with pytest.raises(FormatError, match="cannot read"):
             read_stream(tmp_path / "absent.jsonl")
 
+    @pytest.mark.parametrize(
+        "entry", ["Infinity", "-Infinity", "NaN", "9" * 400], ids=["inf", "-inf", "nan", "huge"]
+    )
+    def test_non_finite_box_entry(self, tmp_path, entry):
+        path = tmp_path / "bad.jsonl"
+        write_lines(
+            path,
+            [
+                MANIFEST_LINE,
+                '{"frame":0,"detections":[{"state":"0,0,0","conf":0.5,'
+                f'"box":[0.1,{entry},0.3,0.4]}}]}}',
+            ],
+        )
+        with pytest.raises(FormatError, match="'box' entry must be finite") as err:
+            read_stream(path)
+        assert err.value.line == 2
+
+    def test_utf8_error_names_its_line(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        lines = [
+            MANIFEST_LINE.encode(),
+            b'{"frame":0,"detections":[{"state":"0,0,0","conf":0.5}]}',
+            b'{"frame":1,"detections":[{"state":"0,0,0","conf":0.5\xff}]}',
+            b'{"frame":2,"detections":[]}',
+        ]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        with pytest.raises(FormatError, match="not valid UTF-8") as err:
+            read_stream(path)
+        assert err.value.line == 3
+        # the kind comes from line 1 alone
+        assert sniff_kind(path) == "stream"
+
+
+@pytest.fixture(scope="module")
+def car_stream_bytes(car_spec) -> bytes:
+    """A 30-frame car stream whose detections all carry boxes."""
+    scenario = simulate(car_spec, cfg=SimConfig(seed=11, misclass_prob=0.1))
+    lines = [stream_manifest().to_json()]
+    for frame in scenario.stream[:30]:
+        detections = [
+            {"state": ",".join(str(int(s)) for s in d.state), "conf": d.confidence,
+             "box": [0.1, 0.2, 0.3, 0.4]}
+            for d in frame.detections
+        ]
+        lines.append(json.dumps({"frame": frame.frame, "detections": detections}))
+    return ("\n".join(lines) + "\n").encode()
+
+
+class TestLazyStreamReader:
+    def test_frames_are_parsed_on_demand(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        write_lines(
+            path,
+            [
+                MANIFEST_LINE,
+                '{"frame":0,"detections":[{"state":"0,0,0","conf":0.5}]}',
+                '{"frame":1,"detections":[{"state":"0,0","conf":0.5}]}',
+            ],
+        )
+        manifest, frames = iter_stream_file(path)
+        assert manifest == stream_manifest()
+        assert next(frames).frame == 0
+        with pytest.raises(FormatError, match="differs from earlier width 3") as err:
+            next(frames)
+        assert err.value.line == 3
+
+    def test_manifest_checked_eagerly(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        write_lines(
+            path,
+            [json.dumps({"format_version": "1.0.0", "kind": "ground_truth",
+                         "recording_id": "rec", "fps": 10.0})],
+        )
+        with pytest.raises(FormatError, match="expected a stream") as err:
+            iter_stream_file(path)
+        assert err.value.line == 1
+
+    def test_width_checked_against_spec(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        write_stream(path, stream_manifest(), make_frames())
+        frames = iter_stream_file(path, linear_spec(3))[1]
+        assert list(frames) == make_frames()
+        with pytest.raises(FormatError, match="procedure 'chain' expects 4") as err:
+            list(iter_stream_file(path, linear_spec(4))[1])
+        assert err.value.line == 2
+        assert validate_file(path, linear_spec(4)) == [f"{path}:2: {err.value.message}"]
+
+    def test_repeated_states_share_one_parse(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        state = AssemblyState.from_values([1, 0, -1])
+        frames = [DetectionFrame(i, i / FPS, (Detection(state, 0.5),)) for i in range(5)]
+        write_stream(path, stream_manifest(), frames)
+        back = list(iter_stream_file(path)[1])
+        assert back == frames
+        assert len({id(f.detections[0].state) for f in back}) == 1
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_mutants_agree_with_read_stream(self, tmp_path_factory, car_stream_bytes, seed):
+        """Draining the lazy reader gives read_stream's frames or its error."""
+        path = tmp_path_factory.mktemp("mutants") / "m.jsonl"
+        path.write_bytes(mutate_bytes(car_stream_bytes, random.Random(seed)))
+
+        def outcome(read):
+            try:
+                return read()
+            except FormatError as exc:
+                assert exc.line is not None
+                return (exc.message, exc.line)
+
+        def drain():
+            manifest, frames = iter_stream_file(path)
+            return manifest, [frame for frame in frames]
+
+        eager = outcome(lambda: read_stream(path))
+        assert outcome(drain) == eager
+        expected = [] if isinstance(eager[0], FileManifest) else [f"{path}:{eager[1]}: {eager[0]}"]
+        assert validate_file(path) == expected
+
 
 class TestGroundTruthFiles:
     def test_single_install_event(self, tmp_path):
@@ -267,6 +388,22 @@ class TestGroundTruthFiles:
         )
         with pytest.raises(FormatError, match="expects 4"):
             read_ground_truth(path, spec)
+
+    def test_non_finite_confidence_rejected(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        write_lines(
+            path,
+            [
+                json.dumps({"format_version": "1.0.0", "kind": "ground_truth",
+                            "recording_id": "rec", "fps": 10.0}),
+                '{"frame":0,"state":"0,0,0"}',
+                '{"frame":5,"state":"1,0,0","conf":NaN}',
+            ],
+        )
+        with pytest.raises(FormatError, match="'conf' must be finite") as err:
+            read_ground_truth(path, linear_spec(3))
+        assert err.value.line == 3
+        assert validate_file(path) == [f"{path}:3: {err.value.message}"]
 
     def test_duplicate_completion_rejected(self, tmp_path):
         spec = linear_spec(1)
