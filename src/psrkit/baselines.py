@@ -28,7 +28,7 @@ from .model import (
     ProcedureSpec,
     StepEvent,
     StepSequence,
-    expected_states,
+    is_reachable,
     transition_to,
 )
 
@@ -124,18 +124,17 @@ class StepRecognizer:
         self._last_frame = -1
         # guard verdicts are cached per component, keyed on the belief
         # version and the pending value, so a persistently rejected
-        # candidate costs one set lookup total, not one per frame
+        # candidate costs one lookup total, not one per frame; verdicts
+        # per candidate state are memoised across belief versions
         self._belief_version = 0
         self._guard_key: list[tuple[int, int] | None] = [None] * n
         self._guard_ok = [False] * n
         if config.variant is Variant.B3:
             self._current: list[int] | None = list(spec.initial_state.as_ints())
-            self._expected: frozenset[tuple[int, ...]] | None = frozenset(
-                s.as_ints() for s in expected_states(spec)
-            )
+            self._reachable: dict[tuple[int, ...], bool] | None = {}
         else:
             self._current = None
-            self._expected = None
+            self._reachable = None
 
     @property
     def current_state(self) -> AssemblyState | None:
@@ -147,10 +146,6 @@ class StepRecognizer:
     @property
     def confidences(self) -> tuple[float, ...]:
         return tuple(self._confs)
-
-    @property
-    def pending_values(self) -> tuple[int, ...]:
-        return tuple(self._pending)
 
     @property
     def events(self) -> tuple[StepEvent, ...]:
@@ -210,7 +205,7 @@ class StepRecognizer:
         pending = self._pending
         threshold = self.config.accumulation_threshold
         decay = self.config.decay
-        expected = self._expected
+        reachable = self._reachable
         emitted: list[StepEvent] = []
         for i, value in enumerate(detected):
             value = int(value)
@@ -220,12 +215,15 @@ class StepRecognizer:
                 confs[i] += confidence
                 pending[i] = value
                 if confs[i] > threshold:
-                    if expected is not None:
+                    if reachable is not None:
                         key = (self._belief_version, value)
                         if self._guard_key[i] != key:
                             candidate = tuple(current[:i]) + (value,) + tuple(current[i + 1 :])
+                            ok = reachable.get(candidate)
+                            if ok is None:
+                                ok = reachable[candidate] = is_reachable(self.spec, candidate)
                             self._guard_key[i] = key
-                            self._guard_ok[i] = candidate in expected
+                            self._guard_ok[i] = ok
                         if not self._guard_ok[i]:
                             continue
                     event = self._emit(i, pending[i], frame, confs[i])

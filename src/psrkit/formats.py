@@ -473,8 +473,11 @@ def _procedure_from_document(document: dict, path) -> ProcedureSpec:
                 f"component index {index} does not match its position {position}", path
             )
         names.append(raw["name"])
+    raw_initial = document.get("initial_state", "")
+    if not isinstance(raw_initial, str):
+        raise FormatError("'initial_state' must be a state string", path)
     try:
-        initial = parse_state_text(document.get("initial_state", ""))
+        initial = parse_state_text(raw_initial)
     except ValueError as exc:
         raise FormatError(f"initial_state: {exc}", path) from None
     raw_actions = document.get("actions")

@@ -173,19 +173,11 @@ class ProcedureSpec:
 
     def topological_order(self) -> tuple[ProceduralAction, ...]:
         """Actions in a prerequisite-respecting order (stable Kahn)."""
-        remaining = {a.action_id: set(a.prerequisites) for a in self.actions}
+        order = _kahn_order({a.action_id: set(a.prerequisites) for a in self.actions})
+        if order is None:
+            raise ValueError(f"cyclic prerequisites in procedure '{self.id}'")
         by_id = self._by_id
-        order: list[ProceduralAction] = []
-        done: set[str] = set()
-        while remaining:
-            ready = [aid for aid, pre in remaining.items() if pre <= done]
-            if not ready:
-                raise ValueError(f"cyclic prerequisites in procedure '{self.id}'")
-            for aid in ready:
-                order.append(by_id[aid])
-                done.add(aid)
-                del remaining[aid]
-        return tuple(order)
+        return tuple(by_id[aid] for aid in order)
 
     def final_state(self) -> AssemblyState:
         """State after every action has been applied in prerequisite order."""
@@ -375,7 +367,10 @@ def expected_states(spec: ProcedureSpec) -> frozenset[AssemblyState]:
 
     Includes the initial and final states. Explored by breadth-first
     search over (state, completed-action-set) pairs, so states reachable
-    along several orders are counted once.
+    along several orders are counted once. The count, and the time, grow
+    exponentially with the procedure's width; to ask about one state use
+    is_reachable, which B3 uses. This listing is kept for callers that
+    need every state and as the reference is_reachable is tested against.
     """
     spec.ensure_valid()
     initial = spec.initial_state
@@ -398,6 +393,62 @@ def expected_states(spec: ProcedureSpec) -> frozenset[AssemblyState]:
             states.add(next_state)
             queue.append(config)
     return frozenset(states)
+
+
+def is_reachable(spec: ProcedureSpec, values) -> bool:
+    """Whether the state ``values`` occurs in some correct execution of ``spec``.
+
+    Same verdict as ``tuple(values) in {s.as_ints() for s in
+    expected_states(spec)}``, in time polynomial in the procedure's size.
+    ``spec`` must be valid (see validate_procedure).
+
+    A correct execution so far is a prerequisite-closed set of actions,
+    each applied once, in an order that respects the prerequisites. A
+    component the set does not touch keeps its initial value; otherwise
+    it ends at the target of its last action. So the target values force
+    actions into the set: the install of every component that must end at
+    1 but does not start there (the remove for 0), each action's
+    prerequisites, and, for an action that leaves its component at the
+    wrong value, the component's other action, which must then come after
+    it. Adding an action to the set only adds constraints, so the smallest
+    set closed under these rules works whenever any set does. The state is
+    reachable iff that set exists (no -1 a correct execution cannot make,
+    no missing counterpart action) and its prerequisite and
+    counterpart-order edges form no cycle.
+    """
+    initial = spec.initial_state.as_ints()
+    if len(values) != len(initial):
+        raise ValueError(
+            f"state has {len(values)} components, "
+            f"procedure '{spec.id}' expects {len(initial)}"
+        )
+    # a valid procedure prescribes no incorrect transition, so no action
+    # reaches a -1 target
+    pending: list[ProceduralAction] = []
+    for component, (start, target) in enumerate(zip(initial, values)):
+        if target != start:
+            action = spec.action_for(component, transition_to(target))
+            if action is None:
+                return False
+            pending.append(action)
+    requires: dict[str, set[str]] = {}
+    order_edges: list[tuple[str, str]] = []  # (later, earlier) on one component
+    while pending:
+        action = pending.pop()
+        if action.action_id in requires:
+            continue
+        requires[action.action_id] = set(action.prerequisites)
+        pending.extend(spec.action_by_id(pre) for pre in action.prerequisites)
+        target = values[action.component]
+        if target != _TARGET_VALUE[action.transition]:
+            last = spec.action_for(action.component, transition_to(target))
+            if last is None:
+                return False
+            pending.append(last)
+            order_edges.append((last.action_id, action.action_id))
+    for later, earlier in order_edges:
+        requires[later].add(earlier)
+    return _kahn_order(requires) is not None
 
 
 def validate_procedure(spec: ProcedureSpec) -> list[str]:
@@ -436,20 +487,28 @@ def validate_procedure(spec: ProcedureSpec) -> list[str]:
                 diagnostics.append(
                     f"action '{action.action_id}' requires unknown action '{pre}'"
                 )
-    if not _prerequisites_acyclic(spec):
+    known = {a.action_id: set(a.prerequisites) & ids for a in spec.actions}
+    if _kahn_order(known) is None:
         diagnostics.append("prerequisite graph contains a cycle")
     return diagnostics
 
 
-def _prerequisites_acyclic(spec: ProcedureSpec) -> bool:
-    ids = {a.action_id for a in spec.actions}
-    remaining = {a.action_id: set(a.prerequisites) & ids for a in spec.actions}
+def _kahn_order(requires: dict[str, set[str]]) -> list[str] | None:
+    """Keys ordered so each follows everything it requires; None on a cycle.
+
+    Stable Kahn: each round takes, in insertion order, every key whose
+    requirements are all met. A requirement that is not a key is never
+    met.
+    """
+    remaining = dict(requires)
+    order: list[str] = []
     done: set[str] = set()
     while remaining:
-        ready = [aid for aid, pre in remaining.items() if pre <= done]
+        ready = [key for key, pre in remaining.items() if pre <= done]
         if not ready:
-            return False
-        for aid in ready:
-            done.add(aid)
-            del remaining[aid]
-    return True
+            return None
+        for key in ready:
+            order.append(key)
+            done.add(key)
+            del remaining[key]
+    return order

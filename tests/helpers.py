@@ -49,6 +49,46 @@ def independent_spec(k: int, spec_id: str = "independent") -> ProcedureSpec:
     )
 
 
+def maintenance_spec(
+    chains: int = 6, chain_length: int = 2, service_parts: int = 3
+) -> ProcedureSpec:
+    """Install-only parts in prerequisite chains, then service parts.
+
+    Each service part starts installed, is removed, then refitted, so it
+    has both an install and a remove action. The defaults give the
+    15-component procedure of the benchmark's wide_b3 workload, which has
+    5,832 reachable states.
+    """
+    parts = chains * chain_length
+    actions = [
+        ProceduralAction(
+            f"install_part{part}",
+            part,
+            Transition.INSTALL,
+            frozenset({f"install_part{part - 1}"}) if part % chain_length else frozenset(),
+        )
+        for part in range(parts)
+    ]
+    for service in range(service_parts):
+        component = parts + service
+        actions.append(ProceduralAction(f"remove_service{service}", component, Transition.REMOVE))
+        actions.append(
+            ProceduralAction(
+                f"refit_service{service}",
+                component,
+                Transition.INSTALL,
+                frozenset({f"remove_service{service}"}),
+            )
+        )
+    return ProcedureSpec(
+        id="wide_maintenance",
+        components=tuple(f"part {i}" for i in range(parts))
+        + tuple(f"service part {i}" for i in range(service_parts)),
+        actions=tuple(actions),
+        initial_state=AssemblyState.from_values([0] * parts + [1] * service_parts),
+    )
+
+
 def random_install_procedure(rng: random.Random, n_min: int = 4, n_max: int = 8) -> ProcedureSpec:
     """Random DAG of install actions, one per component.
 

@@ -1,15 +1,18 @@
 from __future__ import annotations
 
+import dataclasses
 import random
+import time
 
 import pytest
 
-from helpers import linear_spec, random_install_procedure
+from helpers import independent_spec, linear_spec, maintenance_spec, random_install_procedure
 from psrkit import (
     AssemblyState,
     BaselineConfig,
     Detection,
     DetectionFrame,
+    ErrorInjection,
     SimConfig,
     StepRecognizer,
     Transition,
@@ -19,6 +22,7 @@ from psrkit import (
     select_top_detection,
     simulate,
 )
+from psrkit import baselines
 
 FPS = 10.0
 
@@ -251,6 +255,57 @@ class TestB3:
                 emitted += 1
                 assert recognizer.current_state.as_ints() in allowed
         assert emitted > 0
+
+    def test_exact_at_forty_components(self):
+        # 2^40 reachable states: B3 must not enumerate them
+        spec = independent_spec(40)
+        values = [0] * 40
+        per_frame = []
+        for component in (0, 1):
+            values[component] = 1
+            per_frame += [det(values, 1.0)] * 9
+        values[2] = -1
+        per_frame += [det(values, 1.0)] * 20
+        start = time.perf_counter()
+        predicted = run_baseline(BaselineConfig(Variant.B3), spec, stream_of(per_frame), FPS)
+        elapsed = time.perf_counter() - start
+        assert predicted.action_ids() == ("a0", "a1")
+        assert [e.frame for e in predicted.events] == [8, 17]
+        assert elapsed < 1.0, f"{elapsed:.2f} s"
+
+    def test_same_events_as_expected_states_guard(self, monkeypatch):
+        spec = maintenance_spec(chains=3, chain_length=4, service_parts=4)
+        assert spec.n_components == 16
+        noise = SimConfig(
+            seed=0, detect_prob=0.95, conf_mean=0.85, misclass_prob=0.3, error_fp_rate=0.5
+        )
+        injections = [
+            ErrorInjection(),
+            ErrorInjection(incorrect=frozenset({"install_part5", "refit_service1"})),
+            ErrorInjection(swaps=(0, 3, 7)),
+            ErrorInjection(omit=frozenset({"install_part8"}), swaps=(2,)),
+        ]
+        streams = [
+            simulate(spec, injection, dataclasses.replace(noise, seed=seed)).stream
+            for seed, injection in enumerate(injections)
+        ]
+
+        def run_all():
+            return [run_baseline(BaselineConfig(Variant.B3), spec, s, FPS) for s in streams]
+
+        exact = run_all()
+        reachable = {s.as_ints() for s in expected_states(spec)}
+        rejected = set()
+
+        def reference_guard(_spec, values):
+            if values not in reachable:
+                rejected.add(values)
+            return values in reachable
+
+        monkeypatch.setattr(baselines, "is_reachable", reference_guard)
+        assert run_all() == exact
+        assert any(-1 in values for values in rejected)
+        assert any(-1 not in values for values in rejected)
 
 
 class TestRunBaseline:

@@ -68,6 +68,23 @@ class TestValidate:
         assert rc == 1
         assert "cannot read" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("initial_state", [0, [0, 0, 0]])
+    def test_non_string_initial_state_is_a_format_error(self, tmp_path, capsys, initial_state):
+        spec_path = tmp_path / "chain.json"
+        write_procedure(spec_path, linear_spec(3))
+        document = json.loads(spec_path.read_text(encoding="utf-8"))
+        document["initial_state"] = initial_state
+        spec_path.write_text(json.dumps(document), encoding="utf-8")
+        _, _, paths = make_scenario_files(tmp_path)
+        for argv in (
+            ["validate", str(spec_path)],
+            ["run", "--baseline", "b3", "--spec", str(spec_path),
+             "--stream", str(paths["stream"]), "--out", str(tmp_path / "pred.jsonl")],
+        ):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert f"{spec_path}: 'initial_state' must be a state string" in err
+
     def test_ground_truth_with_spec(self, tmp_path):
         _, _, paths = make_scenario_files(tmp_path)
         assert main(["validate", "--spec", CAR, str(paths["ground_truth"])]) == 0

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     independent_spec,
     linear_spec,
+    maintenance_spec,
     oracle_expected_states,
     random_install_procedure,
     sequence,
@@ -29,7 +31,8 @@ from psrkit import (
     serialize_state,
     validate_procedure,
 )
-from psrkit.model import transition_to
+from psrkit.formats import BUILTIN_PROCEDURES, load_builtin_procedure
+from psrkit.model import is_reachable, transition_to
 
 statuses = st.sampled_from([-1, 0, 1])
 states = st.lists(statuses, min_size=1, max_size=14).map(AssemblyState.from_values)
@@ -189,6 +192,92 @@ class TestExpectedStates:
         )
         with pytest.raises(ValueError, match="cycle"):
             expected_states(spec)
+
+
+@st.composite
+def procedures(draw, max_components: int = 7) -> ProcedureSpec:
+    """Valid procedures whose components are install-only, remove-only,
+    both or untouched, with random acyclic prerequisites and any start
+    state, -1 included (so an install may meet an installed part)."""
+    n = draw(st.integers(min_value=1, max_value=max_components))
+    kinds = draw(st.lists(st.sampled_from(["install", "remove", "both", "untouched"]),
+                          min_size=n, max_size=n))
+    pairs = [
+        (component, transition)
+        for component, kind in enumerate(kinds)
+        for transition in (Transition.INSTALL, Transition.REMOVE)
+        if kind in (transition.value, "both")
+    ]
+    actions: list[ProceduralAction] = []
+    for component, transition in draw(st.permutations(pairs)):
+        earlier = [a.action_id for a in actions]
+        prerequisites = draw(st.sets(st.sampled_from(earlier), max_size=3)) if earlier else ()
+        actions.append(ProceduralAction(
+            f"{transition.value}{component}", component, transition, frozenset(prerequisites)
+        ))
+    initial = draw(st.lists(statuses, min_size=n, max_size=n))
+    return ProcedureSpec(
+        "random",
+        tuple(f"part {c}" for c in range(n)),
+        tuple(actions),
+        AssemblyState.from_values(initial),
+    )
+
+
+def assert_matches_expected_states(spec: ProcedureSpec, candidates=None) -> None:
+    """is_reachable agrees with expected_states on every candidate; by
+    default on every state B3 can ask about, a reachable state with one
+    component set to any status."""
+    reachable = {s.as_ints() for s in expected_states(spec)}
+    if candidates is None:
+        candidates = {
+            s[:i] + (value,) + s[i + 1:]
+            for s in reachable
+            for i in range(len(s))
+            for value in (-1, 0, 1)
+        }
+    for values in candidates:
+        assert is_reachable(spec, values) == (values in reachable), values
+
+
+class TestIsReachable:
+    @settings(max_examples=150, deadline=None)
+    @given(procedures())
+    def test_matches_expected_states_on_every_state(self, spec):
+        assert_matches_expected_states(
+            spec, itertools.product((-1, 0, 1), repeat=spec.n_components)
+        )
+
+    @pytest.mark.parametrize("name", BUILTIN_PROCEDURES)
+    def test_matches_expected_states_on_builtin_procedures(self, name):
+        spec = load_builtin_procedure(name)
+        assert_matches_expected_states(spec)
+        assert_matches_expected_states(spec, itertools.product((0, 1), repeat=spec.n_components))
+
+    def test_matches_expected_states_on_wide_maintenance(self):
+        spec = maintenance_spec()
+        assert spec.n_components == 15
+        assert_matches_expected_states(spec)
+
+    def test_removal_order_follows_prerequisites(self):
+        # the remove requires the install, so the part can end absent
+        # after both, but never installed after both
+        spec = ProcedureSpec(
+            "refit",
+            ("x", "y"),
+            (
+                ProceduralAction("install", 0, Transition.INSTALL),
+                ProceduralAction("remove", 0, Transition.REMOVE, frozenset({"install"})),
+                ProceduralAction("next", 1, Transition.INSTALL, frozenset({"remove"})),
+            ),
+            AssemblyState.all_absent(2),
+        )
+        assert is_reachable(spec, (0, 1))
+        assert not is_reachable(spec, (1, 1))
+
+    def test_width_mismatch_rejected(self, car_spec):
+        with pytest.raises(ValueError, match="expects 11"):
+            is_reachable(car_spec, (0, 0))
 
 
 class TestIsErrorState:
