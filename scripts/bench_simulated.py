@@ -22,7 +22,8 @@ from psrkit import (
     run_baseline,
     simulate,
 )
-from psrkit.formats import load_builtin_procedure, read_procedure, write_report
+from psrkit.cli import load_spec
+from psrkit.formats import write_report
 
 
 def build_corpus(spec, n_recordings, n_errors, base_seed, noise):
@@ -59,10 +60,7 @@ def main() -> int:
     parser.add_argument("--out-dir", default="bench_out")
     args = parser.parse_args()
 
-    try:
-        spec = load_builtin_procedure(args.spec)
-    except ValueError:
-        spec = read_procedure(args.spec)
+    spec = load_spec(args.spec)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -4,106 +4,27 @@ Recognize which steps of a known procedure were completed, and in what
 order, from a stream of per-frame assembly-state detections; score
 predictions on order similarity, event-level F1, and recognition delay;
 and simulate detection streams to exercise all of it deterministically.
+
+The package re-exports the names of the common path (simulate, run a
+baseline, score); everything else is imported from its submodule
+(``psrkit.model``, ``psrkit.baselines``, ``psrkit.metrics``,
+``psrkit.simulate``, ``psrkit.formats``, ``psrkit.cli``).
 """
 
-from .baselines import (
-    BaselineConfig,
-    Detection,
-    DetectionFrame,
-    StepRecognizer,
-    Variant,
-    run_baseline,
-    select_top_detection,
-)
-from .metrics import (
-    DEFAULT_WEIGHTS,
-    EditWeights,
-    MatchOutcome,
-    MetricsReport,
-    Subset,
-    aggregate_reports,
-    average_delay,
-    classify_events,
-    evaluate_recording,
-    f1_score,
-    pos_from_orders,
-    pos_score,
-    weighted_damlev,
-)
-from .model import (
-    AssemblyState,
-    ComponentStatus,
-    EventSource,
-    ProceduralAction,
-    ProcedureSpec,
-    StepEvent,
-    StepSequence,
-    Transition,
-    apply_transition,
-    compact_state,
-    diff_states,
-    expected_states,
-    is_error_state,
-    parse_state,
-    parse_state_text,
-    serialize_state,
-    validate_procedure,
-)
-from .simulate import (
-    ErrorInjection,
-    Scenario,
-    SimConfig,
-    iter_stream,
-    render_stream,
-    sample_execution,
-    simulate,
-)
+from .baselines import BaselineConfig, Variant, run_baseline
+from .metrics import evaluate_recording, pos_from_orders, weighted_damlev
+from .simulate import ErrorInjection, SimConfig, simulate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AssemblyState",
     "BaselineConfig",
-    "ComponentStatus",
-    "DEFAULT_WEIGHTS",
-    "Detection",
-    "DetectionFrame",
-    "EditWeights",
     "ErrorInjection",
-    "EventSource",
-    "MatchOutcome",
-    "MetricsReport",
-    "ProceduralAction",
-    "ProcedureSpec",
-    "Scenario",
     "SimConfig",
-    "StepEvent",
-    "StepRecognizer",
-    "StepSequence",
-    "Subset",
-    "Transition",
     "Variant",
-    "aggregate_reports",
-    "apply_transition",
-    "average_delay",
-    "classify_events",
-    "compact_state",
-    "diff_states",
     "evaluate_recording",
-    "expected_states",
-    "f1_score",
-    "is_error_state",
-    "iter_stream",
-    "parse_state",
-    "parse_state_text",
     "pos_from_orders",
-    "pos_score",
-    "render_stream",
     "run_baseline",
-    "sample_execution",
-    "select_top_detection",
-    "serialize_state",
     "simulate",
-    "validate_procedure",
     "weighted_damlev",
 ]

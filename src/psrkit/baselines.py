@@ -20,6 +20,7 @@ events depend only on the past.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 from .model import (
@@ -81,10 +82,10 @@ class BaselineConfig:
     decay: float = 0.75
 
     def __post_init__(self):
-        if self.detection_threshold < 0:
-            raise ValueError("detection_threshold must be >= 0")
-        if self.accumulation_threshold < 0:
-            raise ValueError("accumulation_threshold must be >= 0")
+        for name in ("detection_threshold", "accumulation_threshold"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         if not 0.0 < self.decay <= 1.0:
             raise ValueError("decay must be in (0, 1]")
 

@@ -27,7 +27,7 @@ from .formats import (
     write_report,
     write_scenario,
 )
-from .metrics import Subset, aggregate_reports, evaluate_recording
+from .metrics import evaluate_recording
 from .model import EventSource, ProcedureSpec
 from .simulate import ErrorInjection, SimConfig, simulate
 
@@ -46,7 +46,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _load_spec(value: str) -> ProcedureSpec:
+def load_spec(value: str) -> ProcedureSpec:
     """A --spec value is a builtin procedure name or a file path."""
     if value in BUILTIN_PROCEDURES:
         return load_builtin_procedure(value)
@@ -54,7 +54,7 @@ def _load_spec(value: str) -> ProcedureSpec:
 
 
 def cmd_validate(args) -> int:
-    spec = _load_spec(args.spec) if args.spec else None
+    spec = load_spec(args.spec) if args.spec else None
     failures = 0
     for path in args.paths:
         diagnostics = validate_file(path, spec)
@@ -65,7 +65,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_run(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = load_spec(args.spec)
     variant = Variant(args.baseline)
     overrides = {}
     if args.threshold is not None:
@@ -84,7 +84,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = load_spec(args.spec)
     _, y = read_ground_truth(args.gt, spec)
     _, yhat = read_ground_truth(args.pred, spec)
     report = evaluate_recording(y, yhat, spec)
@@ -116,7 +116,7 @@ def _build_sim_config(args) -> SimConfig:
 
 
 def cmd_simulate(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = load_spec(args.spec)
     cfg = _build_sim_config(args)
     injection = ErrorInjection(
         omit=frozenset(args.omit or ()),
@@ -131,7 +131,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = load_spec(args.spec)
     runs_dir = Path(args.runs)
     if not runs_dir.is_dir():
         print(f"{runs_dir}: not a directory", file=sys.stderr)
@@ -150,12 +150,7 @@ def cmd_bench(args) -> int:
         _, yhat = read_ground_truth(pred_path, spec)
         reports.append(evaluate_recording(y, yhat, spec))
     reports.sort(key=lambda r: r.recording_id)
-    all_aggregate = aggregate_reports(reports, Subset.ALL)
-    if any(r.has_errors for r in reports):
-        errors_aggregate = aggregate_reports(reports, Subset.ERRORS_ONLY)
-    else:
-        errors_aggregate = None
-    write_report(args.out, reports, fmt=args.format, aggregates=(all_aggregate, errors_aggregate))
+    write_report(args.out, reports, fmt=args.format)
     return EXIT_OK
 
 

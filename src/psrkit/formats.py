@@ -194,14 +194,59 @@ def _read_jsonl(path, expected_kind):
     return manifest, rows
 
 
-def _parse_state_field(obj, path, line) -> AssemblyState:
-    state_text = obj.get("state")
-    if not isinstance(state_text, str):
-        raise FormatError("'state' must be a string", path, line)
-    try:
-        return parse_state_text(state_text)
-    except ValueError as exc:
-        raise FormatError(str(exc), path, line) from None
+def _state_rows(path, rows, spec: ProcedureSpec | None, strict: bool):
+    """Yield (line, frame, record, state_of) for each record of a stream or step file.
+
+    Every record must be an object whose 'frame' is a non-negative
+    integer, strictly increasing in a stream (``strict``) and
+    non-decreasing in a step file. ``state_of(obj, line)`` parses the
+    'state' string of ``obj`` through one memo per file, so each distinct
+    string is parsed and width-checked once. The width is the
+    procedure's when one is given, otherwise the first state's.
+    """
+    states: dict[str, AssemblyState] = {}
+    width = spec.n_components if spec is not None else None
+
+    def state_of(obj, line) -> AssemblyState:
+        nonlocal width
+        text = obj.get("state")
+        if not isinstance(text, str):
+            raise FormatError("'state' must be a string", path, line)
+        state = states.get(text)
+        if state is not None:
+            return state
+        try:
+            state = parse_state_text(text)
+        except ValueError as exc:
+            raise FormatError(str(exc), path, line) from None
+        if width is None:
+            width = len(state)
+        elif len(state) != width:
+            if spec is not None:
+                message = (
+                    f"state has {len(state)} components, procedure "
+                    f"'{spec.id}' expects {width}"
+                )
+            else:
+                message = f"state width {len(state)} differs from earlier width {width}"
+            raise FormatError(message, path, line)
+        states[text] = state
+        return state
+
+    noun = "frame" if strict else "state"
+    last_frame = -1
+    for line, obj in rows:
+        if not isinstance(obj, dict):
+            raise FormatError(f"{noun} record must be a JSON object", path, line)
+        frame = _as_int(obj.get("frame"), "'frame'", path, line)
+        if frame < 0:
+            raise FormatError(f"frame index must be non-negative, got {frame}", path, line)
+        if frame < last_frame or (strict and frame == last_frame):
+            raise FormatError(
+                f"frame {frame} out of order (previous was {last_frame})", path, line
+            )
+        last_frame = frame
+        yield line, frame, obj, state_of
 
 
 # ---------------------------------------------------------------------------
@@ -224,20 +269,7 @@ def iter_stream_file(
 
 
 def _stream_frames(path, fps: float, rows, spec: ProcedureSpec | None):
-    states: dict[str, AssemblyState] = {}
-    width = spec.n_components if spec is not None else None
-    last_frame = -1
-    for line, obj in rows:
-        if not isinstance(obj, dict):
-            raise FormatError("frame record must be a JSON object", path, line)
-        frame = _as_int(obj.get("frame"), "'frame'", path, line)
-        if frame < 0:
-            raise FormatError(f"frame index must be non-negative, got {frame}", path, line)
-        if frame <= last_frame:
-            raise FormatError(
-                f"frame {frame} out of order (previous was {last_frame})", path, line
-            )
-        last_frame = frame
+    for line, frame, obj, state_of in _state_rows(path, rows, spec, strict=True):
         raw_detections = obj.get("detections", [])
         if not isinstance(raw_detections, list):
             raise FormatError("'detections' must be a list", path, line)
@@ -245,22 +277,7 @@ def _stream_frames(path, fps: float, rows, spec: ProcedureSpec | None):
         for raw in raw_detections:
             if not isinstance(raw, dict):
                 raise FormatError("detection must be a JSON object", path, line)
-            text = raw.get("state")
-            state = states.get(text) if isinstance(text, str) else None
-            if state is None:
-                state = _parse_state_field(raw, path, line)
-                if width is None:
-                    width = len(state)
-                elif len(state) != width:
-                    if spec is not None:
-                        message = (
-                            f"state has {len(state)} components, procedure "
-                            f"'{spec.id}' expects {width}"
-                        )
-                    else:
-                        message = f"state width {len(state)} differs from earlier width {width}"
-                    raise FormatError(message, path, line)
-                states[text] = state
+            state = state_of(raw, line)
             confidence = _as_number(raw.get("conf"), "'conf'", path, line)
             box = None
             if raw.get("box") is not None:
@@ -300,28 +317,16 @@ def write_stream(path, manifest: FileManifest, frames) -> None:
 # step sequences (ground truth and predictions share the format)
 
 
-def _iter_step_rows(path):
-    """Structural pass over a step file; yields (line, frame, state, conf)."""
-    manifest, rows = _read_jsonl(path, "ground_truth")
-    last_frame = None
-    for line, obj in rows:
-        if not isinstance(obj, dict):
-            raise FormatError("state record must be a JSON object", path, line)
-        frame = _as_int(obj.get("frame"), "'frame'", path, line)
-        if frame < 0:
-            raise FormatError(f"frame index must be non-negative, got {frame}", path, line)
-        if last_frame is not None and frame < last_frame:
-            raise FormatError(
-                f"frame {frame} out of order (previous was {last_frame})", path, line
-            )
-        last_frame = frame
-        state = _parse_state_field(obj, path, line)
+def _step_rows(path, rows, spec: ProcedureSpec | None):
+    """Yield (line, frame, state, confidence) for each row of a step file."""
+    for line, frame, obj, state_of in _state_rows(path, rows, spec, strict=False):
+        state = state_of(obj, line)
         confidence = 1.0
         if "conf" in obj:
             confidence = _as_number(obj["conf"], "'conf'", path, line)
             if confidence < 0:
                 raise FormatError(f"'conf' must be >= 0, got {confidence}", path, line)
-        yield manifest, line, frame, state, confidence
+        yield line, frame, state, confidence
 
 
 def read_ground_truth(
@@ -333,22 +338,15 @@ def read_ground_truth(
     false, incorrectly completed steps are dropped, giving the
     correct-completions-only view of the same file.
     """
-    manifest = None
+    manifest, rows = _read_jsonl(path, "ground_truth")
+    source = manifest.source or EventSource.GROUND_TRUTH
     previous: AssemblyState | None = None
     events: list[StepEvent] = []
     seen: set[str] = set()
-    for manifest, line, frame, state, confidence in _iter_step_rows(path):
-        if len(state) != spec.n_components:
-            raise FormatError(
-                f"state has {len(state)} components, procedure "
-                f"'{spec.id}' expects {spec.n_components}",
-                path,
-                line,
-            )
+    for line, frame, state, confidence in _step_rows(path, rows, spec):
         if previous is None:
             previous = state
             continue
-        source = manifest.source or EventSource.GROUND_TRUTH
         for component, transition in diff_states(previous, state):
             action_id = spec.step_id(component, transition)
             if action_id in seen:
@@ -366,7 +364,7 @@ def read_ground_truth(
                 )
             )
         previous = state
-    if manifest is None:
+    if previous is None:
         raise FormatError("step file has no state rows", path, 1)
     sequence = StepSequence.from_events(manifest.recording_id, manifest.fps, events)
     if not include_errors:
@@ -524,8 +522,8 @@ def read_procedure(path) -> ProcedureSpec:
     return _procedure_from_document(document, path)
 
 
-def procedure_to_document(spec: ProcedureSpec) -> dict:
-    return {
+def write_procedure(path, spec: ProcedureSpec) -> None:
+    document = {
         "format_version": FORMAT_VERSION,
         "kind": "procedure",
         "id": spec.id,
@@ -544,11 +542,8 @@ def procedure_to_document(spec: ProcedureSpec) -> dict:
             for a in spec.actions
         ],
     }
-
-
-def write_procedure(path, spec: ProcedureSpec) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(procedure_to_document(spec), handle, indent=2)
+        json.dump(document, handle, indent=2)
         handle.write("\n")
 
 
@@ -594,12 +589,7 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def write_report(
-    path,
-    reports,
-    fmt: str = "json",
-    aggregates: tuple[MetricsReport, MetricsReport | None] | None = None,
-) -> None:
+def write_report(path, reports, fmt: str = "json") -> None:
     """Write per-recording rows plus ALL and ERRORS_ONLY aggregate rows.
 
     When no recording has errors the ERRORS_ONLY aggregate is empty: a
@@ -607,14 +597,10 @@ def write_report(
     serializes as null / an empty cell.
     """
     reports = list(reports)
-    if aggregates is None:
-        all_aggregate = aggregate_reports(reports, Subset.ALL)
-        if any(r.has_errors for r in reports):
-            errors_aggregate = aggregate_reports(reports, Subset.ERRORS_ONLY)
-        else:
-            errors_aggregate = None
-        aggregates = (all_aggregate, errors_aggregate)
-    all_aggregate, errors_aggregate = aggregates
+    all_aggregate = aggregate_reports(reports, Subset.ALL)
+    errors_aggregate = None
+    if any(r.has_errors for r in reports):
+        errors_aggregate = aggregate_reports(reports, Subset.ERRORS_ONLY)
     if fmt == "json":
         document = {
             "format_version": FORMAT_VERSION,
@@ -724,8 +710,9 @@ def validate_file(path, spec: ProcedureSpec | None = None) -> list[str]:
     """All diagnostics for one file; empty means valid.
 
     Step-sequence files are fully validated when a procedure is given
-    and structurally (frames, states, confidences) otherwise. A given
-    procedure also fixes the state width of stream files.
+    and structurally (frames, states, confidences) otherwise. The state
+    width of stream and step files is the procedure's when one is
+    given, otherwise their first state's.
     """
     try:
         kind = sniff_kind(path)
@@ -736,7 +723,8 @@ def validate_file(path, spec: ProcedureSpec | None = None) -> list[str]:
             if spec is not None:
                 read_ground_truth(path, spec)
             else:
-                for _ in _iter_step_rows(path):
+                _, rows = _read_jsonl(path, "ground_truth")
+                for _ in _step_rows(path, rows, None):
                     pass
         elif kind == "procedure":
             read_procedure(path)

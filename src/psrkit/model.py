@@ -31,7 +31,6 @@ class Transition(enum.Enum):
 
 class EventSource(enum.Enum):
     RECOGNIZED = "recognized"
-    INFERRED = "inferred"
     GROUND_TRUTH = "ground_truth"
 
 
@@ -43,14 +42,15 @@ def status_for_value(value: int) -> ComponentStatus:
         raise ValueError(f"component status must be -1, 0 or 1, got {value}") from None
 
 
+_TRANSITION_TO = {1: Transition.INSTALL, 0: Transition.REMOVE, -1: Transition.INCORRECT}
+
+
 def transition_to(value: int) -> Transition:
     """Transition implied by a component's new status value."""
-    status = status_for_value(value)
-    if status is ComponentStatus.INSTALLED:
-        return Transition.INSTALL
-    if status is ComponentStatus.ABSENT:
-        return Transition.REMOVE
-    return Transition.INCORRECT
+    try:
+        return _TRANSITION_TO[value]
+    except KeyError:
+        raise ValueError(f"component status must be -1, 0 or 1, got {value}") from None
 
 
 _TARGET_VALUE = {
@@ -189,7 +189,7 @@ class ProcedureSpec:
 
 @dataclass(frozen=True)
 class StepEvent:
-    """One recognized, inferred, or annotated step completion."""
+    """One recognized or annotated step completion."""
 
     action_id: str
     component: int
@@ -266,39 +266,17 @@ class StepSequence:
             return self
         return StepSequence(self.recording_id, self.fps, kept)
 
-    def filter_sources(self, *sources: EventSource) -> StepSequence:
-        """View restricted to events from the given sources.
-
-        Lets a caller score directly recognized completions separately
-        from ones a system inferred from procedural assumptions.
-        """
-        kept = tuple(e for e in self.events if e.source in sources)
-        if len(kept) == len(self.events):
-            return self
-        return StepSequence(self.recording_id, self.fps, kept)
-
     def has_incorrect(self) -> bool:
         return any(e.transition is Transition.INCORRECT for e in self.events)
 
 
-def parse_state(text: str, spec: ProcedureSpec) -> AssemblyState:
-    """Parse a state string against a procedure's component count.
+def parse_state_text(text: str) -> AssemblyState:
+    """Parse a state string of any length.
 
     Two forms are accepted: the compact digit form ("11100000000"), legal
     only when no component is incorrect, and the canonical comma-separated
     form ("1,-1,0,...").
     """
-    state = parse_state_text(text)
-    if len(state) != spec.n_components:
-        raise ValueError(
-            f"state '{text}' has {len(state)} components, "
-            f"procedure '{spec.id}' expects {spec.n_components}"
-        )
-    return state
-
-
-def parse_state_text(text: str) -> AssemblyState:
-    """Parse a state string whose length is not tied to any procedure."""
     text = text.strip()
     if not text:
         raise ValueError("empty state string")
@@ -323,15 +301,8 @@ def parse_state_text(text: str) -> AssemblyState:
 
 
 def serialize_state(state: AssemblyState) -> str:
-    """Canonical comma-separated form; inverse of parse_state."""
+    """Canonical comma-separated form; inverse of parse_state_text."""
     return ",".join(str(int(s)) for s in state)
-
-
-def compact_state(state: AssemblyState) -> str:
-    """Compact digit form; only defined when no component is incorrect."""
-    if is_error_state(state):
-        raise ValueError("compact form cannot represent incorrect components")
-    return "".join(str(int(s)) for s in state)
 
 
 def is_error_state(state: AssemblyState) -> bool:

@@ -9,8 +9,9 @@ without any recorded video.
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .baselines import Detection, DetectionFrame
 from .model import (
@@ -49,6 +50,10 @@ class SimConfig:
     error_fp_rate: float = 0.65
 
     def __post_init__(self):
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if field.type == "float" and not math.isfinite(value):
+                raise ValueError(f"{field.name} must be finite, got {value}")
         if self.fps <= 0:
             raise ValueError("fps must be positive")
         if self.dwell_mean_s <= 0:
@@ -97,10 +102,6 @@ class ErrorInjection:
     omit: frozenset[str] = frozenset()
     incorrect: frozenset[str] = frozenset()
     swaps: tuple[int, ...] = ()
-
-    @property
-    def is_empty(self) -> bool:
-        return not (self.omit or self.incorrect or self.swaps)
 
 
 NO_INJECTION = ErrorInjection()

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
-from psrkit import (
+from psrkit.model import (
     AssemblyState,
     EventSource,
     ProceduralAction,

@@ -17,28 +17,7 @@ from dataclasses import replace
 import pytest
 
 from helpers import random_install_procedure, sequence
-from psrkit import (
-    BaselineConfig,
-    DetectionFrame,
-    EditWeights,
-    ErrorInjection,
-    SimConfig,
-    StepRecognizer,
-    StepSequence,
-    Variant,
-    average_delay,
-    classify_events,
-    evaluate_recording,
-    expected_states,
-    f1_score,
-    iter_stream,
-    pos_from_orders,
-    pos_score,
-    render_stream,
-    run_baseline,
-    simulate,
-    weighted_damlev,
-)
+from psrkit.baselines import BaselineConfig, DetectionFrame, StepRecognizer, Variant, run_baseline
 from psrkit.cli import main as cli_main
 from psrkit.formats import (
     FileManifest,
@@ -47,6 +26,25 @@ from psrkit.formats import (
     read_stream,
     write_ground_truth,
     write_stream,
+)
+from psrkit.metrics import (
+    EditWeights,
+    average_delay,
+    classify_events,
+    evaluate_recording,
+    f1_score,
+    pos_from_orders,
+    pos_score,
+    weighted_damlev,
+)
+from psrkit.model import StepSequence, expected_states
+from psrkit.simulate import (
+    ErrorInjection,
+    SimConfig,
+    iter_stream,
+    render_stream,
+    sample_execution,
+    simulate,
 )
 from test_metrics import oracle_edit_cost, random_pair
 
@@ -192,7 +190,8 @@ def test_05_baseline_fidelity(car_spec):
 
 
 def det2(values, conf):
-    from psrkit import AssemblyState, Detection
+    from psrkit.baselines import Detection
+    from psrkit.model import AssemblyState
 
     return Detection(AssemblyState.from_values(values), conf)
 
@@ -303,7 +302,7 @@ def test_09_throughput_and_memory(car_spec):
     """100k frames through B3 plus evaluation in under a second."""
     cfg = SimConfig(seed=900, detect_prob=1.0, misclass_prob=0.05, conf_mean=0.9,
                     conf_spread=0.05)
-    gt, timeline = __import__("psrkit").sample_execution(car_spec, cfg=cfg)
+    gt, timeline = sample_execution(car_spec, cfg=cfg)
     frames = render_stream(timeline, cfg, n_frames=100_000)
     config = BaselineConfig(Variant.B3)
     start = time.perf_counter()

@@ -7,22 +7,18 @@ import time
 import pytest
 
 from helpers import independent_spec, linear_spec, maintenance_spec, random_install_procedure
-from psrkit import (
-    AssemblyState,
+from psrkit import baselines
+from psrkit.baselines import (
     BaselineConfig,
     Detection,
     DetectionFrame,
-    ErrorInjection,
-    SimConfig,
     StepRecognizer,
-    Transition,
     Variant,
-    expected_states,
     run_baseline,
     select_top_detection,
-    simulate,
 )
-from psrkit import baselines
+from psrkit.model import AssemblyState, Transition, expected_states
+from psrkit.simulate import ErrorInjection, SimConfig, simulate
 
 FPS = 10.0
 
@@ -90,7 +86,7 @@ class TestInitialization:
         assert sequence.events == ()
 
     def test_rejects_invalid_spec(self):
-        from psrkit import ProceduralAction, ProcedureSpec
+        from psrkit.model import ProceduralAction, ProcedureSpec
 
         bad = ProcedureSpec(
             id="bad",

@@ -6,17 +6,7 @@ import tracemalloc
 import pytest
 
 from helpers import independent_spec, linear_spec, sequence
-from psrkit import (
-    AssemblyState,
-    Detection,
-    DetectionFrame,
-    ErrorInjection,
-    EventSource,
-    SimConfig,
-    iter_stream,
-    sample_execution,
-    simulate,
-)
+from psrkit.baselines import Detection, DetectionFrame
 from psrkit.cli import main
 from psrkit.formats import (
     FileManifest,
@@ -27,6 +17,8 @@ from psrkit.formats import (
     write_scenario,
     write_stream,
 )
+from psrkit.model import AssemblyState, EventSource
+from psrkit.simulate import ErrorInjection, SimConfig, iter_stream, sample_execution, simulate
 
 CAR = "industreal_car_assembly"
 
@@ -89,6 +81,24 @@ class TestValidate:
         _, _, paths = make_scenario_files(tmp_path)
         assert main(["validate", "--spec", CAR, str(paths["ground_truth"])]) == 0
 
+    def test_step_file_width_fixed_by_first_row(self, tmp_path, capsys):
+        path = tmp_path / "mixed.gt.jsonl"
+        manifest = json.dumps(
+            {"format_version": "1.0.0", "kind": "ground_truth", "recording_id": "r", "fps": 10.0}
+        )
+        rows = ['{"frame":0,"state":"0,0,0"}', '{"frame":5,"state":"1,0,0,0,0"}']
+        path.write_text("\n".join([manifest, *rows]) + "\n", encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert f"{path}:3: state width 5 differs from earlier width 3" in capsys.readouterr().err
+
+    def test_scenario_config_must_be_finite(self, tmp_path, capsys):
+        _, _, paths = make_scenario_files(tmp_path)
+        document = json.loads(paths["scenario"].read_text(encoding="utf-8"))
+        document["config"]["conf_mean"] = float("nan")
+        paths["scenario"].write_text(json.dumps(document), encoding="utf-8")
+        assert main(["validate", str(paths["scenario"])]) == 1
+        assert "conf_mean must be finite, got nan" in capsys.readouterr().err
+
 
 class TestRun:
     def test_b1_noiseless_matches_ground_truth_file(self, tmp_path, capsys):
@@ -146,6 +156,19 @@ class TestRun:
         assert rc == 0
         _, predicted = read_ground_truth(out, spec)
         assert predicted.events == ()
+
+    @pytest.mark.parametrize("baseline", ["b1", "b2", "b3"])
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_is_rejected(self, tmp_path, capsys, baseline, threshold):
+        _, _, paths = make_scenario_files(tmp_path)
+        out = tmp_path / "pred.jsonl"
+        rc = main(
+            ["run", "--baseline", baseline, "--spec", CAR, "--stream", str(paths["stream"]),
+             "--out", str(out), "--threshold", threshold]
+        )
+        assert rc == 1
+        assert f"threshold must be finite and >= 0, got {threshold}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_stream_width_checked_against_spec(self, tmp_path, capsys):
         _, _, paths = make_scenario_files(tmp_path)
@@ -284,6 +307,23 @@ class TestSimulateCommand:
         assert rc == 1
         assert "detect_prob" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "fields", ['{"dwell_mean_s": Infinity}', '{"fps": NaN}', '{"conf_mean": NaN}']
+    )
+    def test_non_finite_config_is_rejected(self, tmp_path, capsys, fields):
+        config = tmp_path / "cfg.json"
+        config.write_text(fields, encoding="utf-8")
+        out = tmp_path / "sim"
+        rc = main(
+            ["simulate", "--spec", CAR, "--seed", "1", "--config", str(config),
+             "--out-dir", str(out)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert f"{config}: invalid simulation config:" in err
+        assert "must be finite" in err
+        assert not out.exists()
+
     def test_config_file_fields_apply(self, tmp_path):
         config = tmp_path / "cfg.json"
         config.write_text('{"detect_prob": 0.0, "fps": 5.0}', encoding="utf-8")
@@ -380,6 +420,30 @@ class TestCrossProcessDeterminism:
                 {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
             )
         assert outputs[0] == outputs[1]
+
+
+class TestScripts:
+    def test_scripts_run(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        root = Path(__file__).resolve().parent.parent
+        pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=pythonpath)
+        for argv in (
+            ["bench_simulated.py", "--recordings", "3", "--out-dir", str(tmp_path)],
+            ["metric_tables.py"],
+        ):
+            result = subprocess.run(
+                [sys.executable, str(root / "scripts" / argv[0]), *argv[1:]],
+                env=env, capture_output=True, text=True,
+            )
+            assert result.returncode == 0, result.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bench_b1.csv", "bench_b2.csv", "bench_b3.csv"
+        ]
 
 
 class TestComposition:

@@ -8,21 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import linear_spec
-from psrkit import (
-    AssemblyState,
-    BaselineConfig,
-    Detection,
-    DetectionFrame,
-    ErrorInjection,
-    EventSource,
-    MetricsReport,
-    SimConfig,
-    StepSequence,
-    Transition,
-    Variant,
-    run_baseline,
-    simulate,
-)
+from psrkit.baselines import BaselineConfig, Detection, DetectionFrame, Variant, run_baseline
 from psrkit.formats import (
     BUILTIN_PROCEDURES,
     FileManifest,
@@ -41,6 +27,9 @@ from psrkit.formats import (
     write_scenario,
     write_stream,
 )
+from psrkit.metrics import MetricsReport
+from psrkit.model import AssemblyState, EventSource, StepSequence, Transition
+from psrkit.simulate import ErrorInjection, SimConfig, simulate
 from test_acceptance import mutate_bytes
 
 FPS = 10.0

@@ -10,13 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import linear_spec, sequence
-from psrkit import (
+from psrkit.metrics import (
     DEFAULT_WEIGHTS,
     EditWeights,
     MetricsReport,
-    StepSequence,
     Subset,
-    Transition,
     aggregate_reports,
     average_delay,
     classify_events,
@@ -26,6 +24,7 @@ from psrkit import (
     pos_score,
     weighted_damlev,
 )
+from psrkit.model import StepSequence, Transition
 
 
 def oracle_edit_cost(source, target, weights=DEFAULT_WEIGHTS) -> float:

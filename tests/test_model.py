@@ -15,7 +15,7 @@ from helpers import (
     random_install_procedure,
     sequence,
 )
-from psrkit import (
+from psrkit.model import (
     AssemblyState,
     ComponentStatus,
     ProceduralAction,
@@ -23,16 +23,16 @@ from psrkit import (
     StepSequence,
     Transition,
     apply_transition,
-    compact_state,
     diff_states,
     expected_states,
     is_error_state,
-    parse_state,
+    is_reachable,
+    parse_state_text,
     serialize_state,
+    transition_to,
     validate_procedure,
 )
 from psrkit.formats import BUILTIN_PROCEDURES, load_builtin_procedure
-from psrkit.model import is_reachable, transition_to
 
 statuses = st.sampled_from([-1, 0, 1])
 states = st.lists(statuses, min_size=1, max_size=14).map(AssemblyState.from_values)
@@ -51,64 +51,52 @@ def state_of(values) -> AssemblyState:
 
 
 class TestParseState:
-    def test_compact_paper_code(self, car_spec):
-        state = parse_state("11100000000", car_spec)
+    def test_compact_paper_code(self):
+        state = parse_state_text("11100000000")
         assert state.as_ints() == (1, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0)
 
-    def test_comma_all_absent(self, car_spec):
-        state = parse_state("0,0,0,0,0,0,0,0,0,0,0", car_spec)
+    def test_comma_all_absent(self):
+        state = parse_state_text("0,0,0,0,0,0,0,0,0,0,0")
         assert state == AssemblyState.all_absent(11)
 
-    def test_comma_with_incorrect(self, car_spec):
-        state = parse_state("1,-1,0,0,0,0,0,0,0,0,0", car_spec)
+    def test_comma_with_incorrect(self):
+        state = parse_state_text("1,-1,0,0,0,0,0,0,0,0,0")
         assert state[1] is ComponentStatus.INCORRECT
 
-    def test_length_mismatch(self, car_spec):
-        with pytest.raises(ValueError, match="10 components"):
-            parse_state("1110000000", car_spec)
-
-    def test_bad_compact_character(self, car_spec):
+    def test_bad_compact_character(self):
         with pytest.raises(ValueError, match="compact"):
-            parse_state("11120000000", car_spec)
+            parse_state_text("11120000000")
 
-    def test_compact_cannot_hold_minus(self, car_spec):
+    def test_compact_cannot_hold_minus(self):
         with pytest.raises(ValueError, match="comma-separated"):
-            parse_state("1-100000000", car_spec)
+            parse_state_text("1-100000000")
 
-    def test_malformed_token(self, car_spec):
+    def test_malformed_token(self):
         with pytest.raises(ValueError, match="malformed"):
-            parse_state("1,,0,0,0,0,0,0,0,0,0", car_spec)
+            parse_state_text("1,,0,0,0,0,0,0,0,0,0")
 
-    def test_out_of_range_value(self, car_spec):
+    def test_out_of_range_value(self):
         with pytest.raises(ValueError, match="-1, 0 or 1"):
-            parse_state("2,0,0,0,0,0,0,0,0,0,0", car_spec)
+            parse_state_text("2,0,0,0,0,0,0,0,0,0,0")
 
     @given(states)
     def test_serialize_round_trip(self, state):
-        spec = ProcedureSpec(
-            id="t",
-            components=tuple(f"c{i}" for i in range(len(state))),
-            actions=(),
-            initial_state=AssemblyState.all_absent(len(state)),
-        )
-        assert parse_state(serialize_state(state), spec) == state
+        assert parse_state_text(serialize_state(state)) == state
 
-    @given(states)
-    def test_compact_round_trip_when_legal(self, state):
-        if is_error_state(state):
-            with pytest.raises(ValueError):
-                compact_state(state)
-        else:
-            spec = ProcedureSpec(
-                id="t",
-                components=tuple(f"c{i}" for i in range(len(state))),
-                actions=(),
-                initial_state=AssemblyState.all_absent(len(state)),
-            )
-            assert parse_state(compact_state(state), spec) == state
+    @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=14))
+    def test_compact_round_trip_when_legal(self, values):
+        assert parse_state_text("".join(map(str, values))).as_ints() == tuple(values)
 
 
 class TestDiffStates:
+    def test_transition_to(self):
+        assert transition_to(1) is Transition.INSTALL
+        assert transition_to(0) is Transition.REMOVE
+        assert transition_to(ComponentStatus.INCORRECT) is Transition.INCORRECT
+        for value in (2, -2, "1", None):
+            with pytest.raises(ValueError, match="must be -1, 0 or 1"):
+                transition_to(value)
+
     def test_single_install(self):
         changes = diff_states(state_of([0] * 11), state_of([1] + [0] * 10))
         assert changes == [(0, Transition.INSTALL)]
@@ -393,13 +381,3 @@ class TestStepSequence:
         assert merged.has_incorrect()
         assert merged.correct_only().action_ids() == ("a0", "a1")
 
-    def test_filter_sources(self):
-        from psrkit import EventSource
-
-        recognized = sequence("r", [("a0", 1.0, 0)], source=EventSource.RECOGNIZED)
-        inferred = sequence("r", [("a1", 2.0, 1)], source=EventSource.INFERRED)
-        merged = StepSequence.from_events("r", 1.0, recognized.events + inferred.events)
-        assert merged.filter_sources(EventSource.RECOGNIZED).action_ids() == ("a0",)
-        assert merged.filter_sources(
-            EventSource.RECOGNIZED, EventSource.INFERRED
-        ).action_ids() == ("a0", "a1")

@@ -6,18 +6,15 @@ from collections import Counter
 import pytest
 
 from helpers import linear_spec, random_install_procedure
-from psrkit import (
+from psrkit.model import (
     AssemblyState,
     ComponentStatus,
-    ErrorInjection,
     ProceduralAction,
     ProcedureSpec,
-    SimConfig,
     Transition,
     is_error_state,
-    sample_execution,
-    simulate,
 )
+from psrkit.simulate import ErrorInjection, SimConfig, sample_execution, simulate
 
 
 class TestSimConfig:
