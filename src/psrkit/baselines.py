@@ -211,7 +211,7 @@ class StepRecognizer:
         for i, value in enumerate(detected):
             value = int(value)
             if value != current[i]:
-                if confs[i] == 0.0:
+                if confs[i] == 0.0 and confidence != 0.0:
                     self._hot += 1
                 confs[i] += confidence
                 pending[i] = value

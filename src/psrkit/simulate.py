@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import random
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 
 from .baselines import Detection, DetectionFrame
@@ -52,7 +53,10 @@ class SimConfig:
     def __post_init__(self):
         for field in fields(self):
             value = getattr(self, field.name)
-            if field.type == "float" and not math.isfinite(value):
+            # a float seed counts too: random.Random hashes it, and a NaN
+            # hashes by identity, so it would seed differently every run
+            is_float = field.type == "float" or isinstance(value, float)
+            if is_float and not math.isfinite(value):
                 raise ValueError(f"{field.name} must be finite, got {value}")
         if self.fps <= 0:
             raise ValueError("fps must be positive")
@@ -149,37 +153,85 @@ def _validate_injection(spec: ProcedureSpec, injection: ErrorInjection) -> None:
         touched[component] = aid
 
 
-def _sample_order(spec: ProcedureSpec, rng: random.Random) -> list[str]:
-    """Uniform sample over all prerequisite-respecting execution orders.
+def _order_counter(spec: ProcedureSpec) -> tuple[list[int], Callable[[int], int]]:
+    """Prerequisite bitmasks of the actions, and an exact order count.
 
-    Each ready action is weighted by the number of completions of the
-    remainder, which makes every full order equally likely rather than
-    biasing towards early branching.
+    Bit i stands for spec.actions[i]. count(remaining) is the number of
+    prerequisite-respecting orders of the actions in the bitmask
+    remaining, memoised per bitmask. Where the prerequisite graph
+    restricted to a remaining set R falls apart, the count splits: with G
+    the connected group of R's lowest action, the orders of R interleave
+    any order of G with any order of the rest, so count(R) =
+    comb(|R|, |G|) * count(G) * count(R - G). Otherwise count(R) sums
+    count(R - a) over the ready actions a. The cost thus grows with the
+    widest group of interdependent remaining actions, not with the
+    number of prerequisite-closed sets of the whole procedure.
     """
-    prereqs = {a.action_id: frozenset(a.prerequisites) for a in spec.actions}
-    counts: dict[frozenset, int] = {}
+    index = {a.action_id: i for i, a in enumerate(spec.actions)}
+    requires = [0] * len(index)
+    linked = [0] * len(index)  # prerequisites and dependents: undirected edges
+    for i, action in enumerate(spec.actions):
+        for pre in action.prerequisites:
+            j = index[pre]
+            requires[i] |= 1 << j
+            linked[i] |= 1 << j
+            linked[j] |= 1 << i
+    counts: dict[int, int] = {0: 1}
 
-    def count(remaining: frozenset) -> int:
-        if not remaining:
-            return 1
+    def count(remaining: int) -> int:
         cached = counts.get(remaining)
         if cached is not None:
             return cached
-        total = 0
-        for aid in remaining:
-            if not prereqs[aid] & remaining:
-                total += count(remaining - {aid})
+        group = frontier = remaining & -remaining
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            reached = linked[low.bit_length() - 1] & remaining & ~group
+            group |= reached
+            frontier |= reached
+        if group != remaining:
+            rest = remaining ^ group
+            total = (
+                math.comb(remaining.bit_count(), group.bit_count())
+                * count(group)
+                * count(rest)
+            )
+        else:
+            total = 0
+            todo = remaining
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                if not requires[low.bit_length() - 1] & remaining:
+                    total += count(remaining ^ low)
         counts[remaining] = total
         return total
 
+    return requires, count
+
+
+def _sample_order(spec: ProcedureSpec, rng: random.Random) -> list[str]:
+    """Uniform sample over all prerequisite-respecting execution orders.
+
+    Each ready action, taken in sorted id order, is weighted by the exact
+    number of completions of the remainder, which makes every full order
+    equally likely rather than biasing towards early branching. One
+    rng.choices call per step, so a seed always draws the same order.
+    """
+    index = {a.action_id: i for i, a in enumerate(spec.actions)}
+    requires, count = _order_counter(spec)
     order: list[str] = []
-    remaining = frozenset(prereqs)
+    remaining = (1 << len(index)) - 1
     while remaining:
-        ready = sorted(aid for aid in remaining if not prereqs[aid] & remaining)
-        weights = [count(remaining - {aid}) for aid in ready]
+        ready = sorted(
+            aid
+            for aid, i in index.items()
+            if remaining >> i & 1 and not requires[i] & remaining
+        )
+        weights = [count(remaining ^ (1 << index[aid])) for aid in ready]
         choice = rng.choices(ready, weights=weights)[0]
         order.append(choice)
-        remaining -= {choice}
+        remaining ^= 1 << index[choice]
     return order
 
 

@@ -130,6 +130,40 @@ def all_valid_orders(spec: ProcedureSpec) -> list[tuple[str, ...]]:
     return orders
 
 
+def reference_sample_order(spec: ProcedureSpec, rng: random.Random) -> list[str]:
+    """The simulator's order sampler before it split counts into groups.
+
+    It memoises one completion count per remaining frozenset of actions,
+    so its cost grows with the number of prerequisite-closed action sets.
+    Given the same rng state, simulate's sampler must draw the same order.
+    """
+    prereqs = {a.action_id: frozenset(a.prerequisites) for a in spec.actions}
+    counts: dict[frozenset, int] = {}
+
+    def count(remaining: frozenset) -> int:
+        if not remaining:
+            return 1
+        cached = counts.get(remaining)
+        if cached is not None:
+            return cached
+        total = 0
+        for aid in remaining:
+            if not prereqs[aid] & remaining:
+                total += count(remaining - {aid})
+        counts[remaining] = total
+        return total
+
+    order: list[str] = []
+    remaining = frozenset(prereqs)
+    while remaining:
+        ready = sorted(aid for aid in remaining if not prereqs[aid] & remaining)
+        weights = [count(remaining - {aid}) for aid in ready]
+        choice = rng.choices(ready, weights=weights)[0]
+        order.append(choice)
+        remaining -= {choice}
+    return order
+
+
 def oracle_expected_states(spec: ProcedureSpec) -> frozenset[AssemblyState]:
     """Reachable states by walking every valid order (independent oracle)."""
     states = {spec.initial_state}

@@ -5,6 +5,8 @@ import random
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import independent_spec, linear_spec, maintenance_spec, random_install_procedure
 from psrkit import baselines
@@ -203,6 +205,43 @@ class TestB2:
         events = recognizer.process(frame(9, det([-1, 0], 1.0)))
         assert [e.transition for e in events] == [Transition.INCORRECT]
         assert recognizer.current_state == AssemblyState.from_values([-1, 0])
+
+
+class _AlwaysHot(StepRecognizer):
+    """Reference recognizer whose all-quiet early exit never fires."""
+
+    @property
+    def _hot(self):
+        return 1
+
+    @_hot.setter
+    def _hot(self, value):
+        pass
+
+
+class TestHotCount:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.sampled_from([Variant.B2, Variant.B3]),
+        st.sampled_from([0.75, 1e-200]),  # the tiny decay reaches 0.0 in two frames
+        st.lists(
+            st.none() | st.tuples(
+                st.lists(st.sampled_from([-1, 0, 1]), min_size=3, max_size=3),
+                st.sampled_from([0.0, 0.0, 0.4, 1.0]),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_hot_counts_non_zero_accumulators(self, variant, decay, rows):
+        spec = maintenance_spec(chains=1, chain_length=2, service_parts=1)
+        config = BaselineConfig(variant, accumulation_threshold=1.0, decay=decay)
+        recognizer = StepRecognizer(config, spec)
+        reference = _AlwaysHot(config, spec)
+        for index, row in enumerate(rows):
+            current = frame(index) if row is None else frame(index, det(*row))
+            assert recognizer.process(current) == reference.process(current)
+            assert recognizer._hot == sum(c != 0.0 for c in recognizer.confidences)
+        assert recognizer.events == reference.events
 
 
 class TestB3:

@@ -17,7 +17,13 @@ from psrkit.formats import (
     write_scenario,
     write_stream,
 )
-from psrkit.model import AssemblyState, EventSource
+from psrkit.model import (
+    AssemblyState,
+    EventSource,
+    ProceduralAction,
+    ProcedureSpec,
+    Transition,
+)
 from psrkit.simulate import ErrorInjection, SimConfig, iter_stream, sample_execution, simulate
 
 CAR = "industreal_car_assembly"
@@ -98,6 +104,14 @@ class TestValidate:
         paths["scenario"].write_text(json.dumps(document), encoding="utf-8")
         assert main(["validate", str(paths["scenario"])]) == 1
         assert "conf_mean must be finite, got nan" in capsys.readouterr().err
+
+    def test_scenario_seed_must_be_finite(self, tmp_path, capsys):
+        _, _, paths = make_scenario_files(tmp_path)
+        document = json.loads(paths["scenario"].read_text(encoding="utf-8"))
+        document["seed"] = document["config"]["seed"] = float("nan")
+        paths["scenario"].write_text(json.dumps(document), encoding="utf-8")
+        assert main(["validate", str(paths["scenario"])]) == 1
+        assert "seed must be finite, got nan" in capsys.readouterr().err
 
 
 class TestRun:
@@ -323,6 +337,62 @@ class TestSimulateCommand:
         assert f"{config}: invalid simulation config:" in err
         assert "must be finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "seed, shown", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")]
+    )
+    def test_non_finite_seed_is_rejected(self, tmp_path, capsys, seed, shown):
+        # random.Random(nan) seeds from an identity hash: two runs would differ
+        config = tmp_path / "cfg.json"
+        config.write_text(f'{{"seed": {seed}}}', encoding="utf-8")
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--spec", CAR, "--config", str(config), "--out-dir", str(out)])
+        assert rc == 1
+        assert (
+            f"{config}: invalid simulation config: seed must be finite, got {shown}"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("shape", ["base_plus_39_parts", "twenty_chains"])
+    def test_forty_component_procedures(self, tmp_path, shape):
+        import subprocess
+        import sys
+
+        if shape == "base_plus_39_parts":
+            actions = [ProceduralAction("base", 0, Transition.INSTALL)] + [
+                ProceduralAction(f"part{c}", c, Transition.INSTALL, frozenset({"base"}))
+                for c in range(1, 40)
+            ]
+        else:
+            actions = [
+                ProceduralAction(
+                    f"chain{c // 2}_step{c % 2}", c, Transition.INSTALL,
+                    frozenset({f"chain{c // 2}_step0"}) if c % 2 else frozenset(),
+                )
+                for c in range(40)
+            ]
+        spec = ProcedureSpec(
+            shape, tuple(f"part {c}" for c in range(40)), tuple(actions),
+            AssemblyState.all_absent(40),
+        )
+        spec_path = tmp_path / f"{shape}.procedure.json"
+        write_procedure(spec_path, spec)
+        for seed in (1, 2):
+            out = tmp_path / f"sim{seed}"
+            # a subprocess, so a sampler whose cost grows with the number of
+            # prerequisite-closed action sets (2^39 here) fails, not hangs
+            subprocess.run(
+                [sys.executable, "-m", "psrkit.cli", "simulate", "--spec", str(spec_path),
+                 "--seed", str(seed), "--out-dir", str(out), "--recording-id", "wide"],
+                check=True, capture_output=True, timeout=60,
+            )
+            _, gt = read_ground_truth(out / "wide.gt.jsonl", spec)
+            assert sorted(gt.action_ids()) == sorted(a.action_id for a in actions)
+            done: set[str] = set()
+            for action_id in gt.action_ids():
+                assert spec.action_by_id(action_id).prerequisites <= done
+                done.add(action_id)
 
     def test_config_file_fields_apply(self, tmp_path):
         config = tmp_path / "cfg.json"

@@ -1,11 +1,20 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import linear_spec, random_install_procedure
+from helpers import (
+    all_valid_orders,
+    linear_spec,
+    maintenance_spec,
+    random_install_procedure,
+    reference_sample_order,
+)
 from psrkit.model import (
     AssemblyState,
     ComponentStatus,
@@ -14,7 +23,44 @@ from psrkit.model import (
     Transition,
     is_error_state,
 )
-from psrkit.simulate import ErrorInjection, SimConfig, sample_execution, simulate
+from psrkit.simulate import ErrorInjection, SimConfig, _order_counter, sample_execution, simulate
+
+
+@st.composite
+def grouped_procedures(draw, max_actions: int = 9) -> ProcedureSpec:
+    """Valid procedures of install-only, remove-only and remove+refit
+    parts whose actions fall into several groups, with random acyclic
+    prerequisites inside each group only, so the prerequisite graph
+    usually falls apart into independent pieces."""
+    kinds = draw(st.lists(
+        st.sampled_from(["install", "remove", "refit"]), min_size=1, max_size=max_actions
+    ))
+    actions: list[ProceduralAction] = []
+    for component, kind in enumerate(kinds):
+        if kind == "install":
+            actions.append(ProceduralAction(f"install{component}", component, Transition.INSTALL))
+        else:
+            actions.append(ProceduralAction(f"remove{component}", component, Transition.REMOVE))
+        if kind == "refit" and len(actions) < max_actions:
+            actions.append(ProceduralAction(
+                f"refit{component}", component, Transition.INSTALL,
+                frozenset({f"remove{component}"}),
+            ))
+    groups = draw(st.lists(st.integers(0, 2), min_size=len(actions), max_size=len(actions)))
+    wired: list[ProceduralAction] = []
+    for action, group in zip(actions, groups):
+        earlier = [a.action_id for a, g in zip(wired, groups) if g == group]
+        extra = draw(st.sets(st.sampled_from(earlier), max_size=2)) if earlier else set()
+        wired.append(ProceduralAction(
+            action.action_id, action.component, action.transition,
+            action.prerequisites | frozenset(extra),
+        ))
+    return ProcedureSpec(
+        "grouped",
+        tuple(f"part {c}" for c in range(len(kinds))),
+        tuple(wired),
+        AssemblyState.from_values([0 if kind == "install" else 1 for kind in kinds]),
+    )
 
 
 class TestSimConfig:
@@ -118,6 +164,33 @@ class TestSampleExecution:
         assert set(counts) == {("a", "b", "c"), ("a", "c", "b"), ("b", "a", "c")}
         for count in counts.values():
             assert 400 < count < 600
+
+    @settings(max_examples=200, deadline=None)
+    @given(grouped_procedures(), st.integers(min_value=0, max_value=2**32))
+    def test_same_order_as_reference_sampler(self, spec, seed):
+        sequence, _ = sample_execution(spec, cfg=SimConfig(seed=seed))
+        assert list(sequence.action_ids()) == reference_sample_order(spec, random.Random(seed))
+        if len(spec.actions) <= 6:
+            _, count = _order_counter(spec)
+            assert count((1 << len(spec.actions)) - 1) == len(all_valid_orders(spec))
+
+    def test_same_order_as_reference_on_wide_procedure(self):
+        spec = maintenance_spec()
+        for seed in range(3):
+            sequence, _ = sample_execution(spec, cfg=SimConfig(seed=seed))
+            assert list(sequence.action_ids()) == reference_sample_order(spec, random.Random(seed))
+
+    def test_order_sampling_memory_is_small(self):
+        # the reference memoises one count per prerequisite-closed action
+        # set, 19,683 of them here (~15 MB); grouped counts need a few
+        spec = maintenance_spec()
+        tracemalloc.start()
+        try:
+            sample_execution(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_event_frames_start_segments(self):
         spec = linear_spec(5)
