@@ -103,9 +103,9 @@ class StepRecognizer:
 
     B1 and B2 take the first non-empty frame's top detection as their
     initial belief and idle until then; B3 starts from the procedure's
-    initial state. Per component the recognizer keeps one confidence
-    accumulator and the most recent conflicting status, which is the
-    value applied when the accumulator crosses the threshold.
+    initial state. B2 and B3 keep one confidence accumulator per
+    component; when it crosses the threshold, the component takes the
+    conflicting value of the crossing frame.
 
     A step already emitted in this run is never emitted twice: if the
     same component transition fires again the belief is updated but no
@@ -116,22 +116,14 @@ class StepRecognizer:
         spec.ensure_valid()
         self.config = config
         self.spec = spec
-        n = spec.n_components
-        self._confs = [0.0] * n
-        self._pending = list(spec.initial_state.as_ints())
-        self._hot = 0  # components with a non-zero accumulator
+        self._confs = [0.0] * spec.n_components
         self._events: list[StepEvent] = []
         self._emitted_ids: set[str] = set()
         self._last_frame = -1
-        # guard verdicts are cached per component, keyed on the belief
-        # version and the pending value, so a persistently rejected
-        # candidate costs one lookup total, not one per frame; verdicts
-        # per candidate state are memoised across belief versions
-        self._belief_version = 0
-        self._guard_key: list[tuple[int, int] | None] = [None] * n
-        self._guard_ok = [False] * n
         if config.variant is Variant.B3:
             self._current: list[int] | None = list(spec.initial_state.as_ints())
+            # guard verdict per candidate state, so a persistently
+            # rejected candidate costs one is_reachable call in total
             self._reachable: dict[tuple[int, ...], bool] | None = {}
         else:
             self._current = None
@@ -199,45 +191,31 @@ class StepRecognizer:
         self, frame: DetectionFrame, state: AssemblyState, confidence: float
     ) -> list[StepEvent]:
         current = self._current
-        detected = state.statuses
-        if self._hot == 0 and tuple(current) == detected:
-            return []
         confs = self._confs
-        pending = self._pending
         threshold = self.config.accumulation_threshold
         decay = self.config.decay
         reachable = self._reachable
         emitted: list[StepEvent] = []
-        for i, value in enumerate(detected):
+        for i, value in enumerate(state.statuses):
             value = int(value)
-            if value != current[i]:
-                if confs[i] == 0.0 and confidence != 0.0:
-                    self._hot += 1
-                confs[i] += confidence
-                pending[i] = value
-                if confs[i] > threshold:
-                    if reachable is not None:
-                        key = (self._belief_version, value)
-                        if self._guard_key[i] != key:
-                            candidate = tuple(current[:i]) + (value,) + tuple(current[i + 1 :])
-                            ok = reachable.get(candidate)
-                            if ok is None:
-                                ok = reachable[candidate] = is_reachable(self.spec, candidate)
-                            self._guard_key[i] = key
-                            self._guard_ok[i] = ok
-                        if not self._guard_ok[i]:
-                            continue
-                    event = self._emit(i, pending[i], frame, confs[i])
-                    current[i] = pending[i]
-                    self._belief_version += 1
-                    confs[i] = 0.0
-                    self._hot -= 1
-                    if event is not None:
-                        emitted.append(event)
-            elif confs[i] != 0.0:
+            if value == current[i]:
                 confs[i] *= decay
-                if confs[i] == 0.0:
-                    self._hot -= 1
+                continue
+            confs[i] += confidence
+            if confs[i] <= threshold:
+                continue
+            if reachable is not None:
+                candidate = (*current[:i], value, *current[i + 1 :])
+                ok = reachable.get(candidate)
+                if ok is None:
+                    ok = reachable[candidate] = is_reachable(self.spec, candidate)
+                if not ok:
+                    continue
+            event = self._emit(i, value, frame, confs[i])
+            current[i] = value
+            confs[i] = 0.0
+            if event is not None:
+                emitted.append(event)
         return emitted
 
     def _emit(

@@ -17,6 +17,7 @@ from .baselines import BaselineConfig, Variant, run_baseline
 from .formats import (
     BUILTIN_PROCEDURES,
     FormatError,
+    _read_json_document,
     iter_stream_file,
     load_builtin_procedure,
     read_ground_truth,
@@ -99,13 +100,7 @@ def cmd_eval(args) -> int:
 def _build_sim_config(args) -> SimConfig:
     cfg = SimConfig.noiseless() if args.noiseless else SimConfig()
     if args.config:
-        try:
-            with open(args.config, encoding="utf-8") as handle:
-                fields = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"invalid JSON: {exc.msg}", args.config, exc.lineno) from None
-        if not isinstance(fields, dict):
-            raise FormatError("simulation config must be a JSON object", args.config)
+        fields = _read_json_document(args.config, None)
         try:
             cfg = dataclasses.replace(cfg, **fields)
         except (TypeError, ValueError) as exc:

@@ -188,9 +188,12 @@ def _read_jsonl(path, expected_kind):
     rows = _iter_jsonl(path)
     try:
         _, first = next(rows)
+        manifest = _parse_manifest(first, expected_kind, path)
     except StopIteration:
         raise FormatError("file is empty, expected a manifest line", path, 1) from None
-    manifest = _parse_manifest(first, expected_kind, path)
+    except FormatError:
+        rows.close()
+        raise
     return manifest, rows
 
 
@@ -691,14 +694,9 @@ def sniff_kind(path) -> str:
     """Best-effort file kind: manifest line for JSONL, document key otherwise."""
     suffix = Path(path).suffix
     if suffix == ".jsonl":
-        rows = _iter_jsonl(path)
-        try:
-            _, first = next(rows)
-        except StopIteration:
-            raise FormatError("file is empty, expected a manifest line", path, 1) from None
-        finally:
-            rows.close()
-        return _parse_manifest(first, None, path).kind
+        manifest, rows = _read_jsonl(path, None)
+        rows.close()
+        return manifest.kind
     document = _read_json_document(path, None)
     kind = document.get("kind")
     if kind not in KINDS:

@@ -93,10 +93,6 @@ class AssemblyState:
     def from_values(cls, values) -> AssemblyState:
         return cls(tuple(status_for_value(v) for v in values))
 
-    @classmethod
-    def all_absent(cls, n_components: int) -> AssemblyState:
-        return cls((ComponentStatus.ABSENT,) * n_components)
-
 
 @dataclass(frozen=True)
 class ProceduralAction:
@@ -178,13 +174,6 @@ class ProcedureSpec:
             raise ValueError(f"cyclic prerequisites in procedure '{self.id}'")
         by_id = self._by_id
         return tuple(by_id[aid] for aid in order)
-
-    def final_state(self) -> AssemblyState:
-        """State after every action has been applied in prerequisite order."""
-        state = self.initial_state
-        for action in self.topological_order():
-            state = state.replace(action.component, _TARGET_VALUE[action.transition])
-        return state
 
 
 @dataclass(frozen=True)

@@ -178,34 +178,47 @@ def _order_counter(spec: ProcedureSpec) -> tuple[list[int], Callable[[int], int]
             linked[j] |= 1 << i
     counts: dict[int, int] = {0: 1}
 
-    def count(remaining: int) -> int:
-        cached = counts.get(remaining)
-        if cached is not None:
-            return cached
-        group = frontier = remaining & -remaining
-        while frontier:
-            low = frontier & -frontier
-            frontier ^= low
-            reached = linked[low.bit_length() - 1] & remaining & ~group
-            group |= reached
-            frontier |= reached
-        if group != remaining:
-            rest = remaining ^ group
-            total = (
-                math.comb(remaining.bit_count(), group.bit_count())
-                * count(group)
-                * count(rest)
-            )
-        else:
-            total = 0
-            todo = remaining
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                if not requires[low.bit_length() - 1] & remaining:
-                    total += count(remaining ^ low)
-        counts[remaining] = total
-        return total
+    def count(target: int) -> int:
+        # an explicit stack instead of recursion, which long prerequisite
+        # chains would exhaust. An entry is (set, None) until its parts
+        # are known, then (set, (factor, parts)): factor * the product of
+        # the two parts' counts, or their sum when factor is 0
+        stack: list[tuple[int, tuple | None]] = [(target, None)]
+        while stack:
+            remaining, split = stack[-1]
+            if split is not None:
+                stack.pop()
+                factor, parts = split
+                if factor:
+                    counts[remaining] = factor * counts[parts[0]] * counts[parts[1]]
+                else:
+                    counts[remaining] = sum(counts[part] for part in parts)
+                continue
+            if remaining in counts:
+                stack.pop()
+                continue
+            group = frontier = remaining & -remaining
+            while frontier:
+                low = frontier & -frontier
+                frontier ^= low
+                reached = linked[low.bit_length() - 1] & remaining & ~group
+                group |= reached
+                frontier |= reached
+            if group != remaining:
+                factor = math.comb(remaining.bit_count(), group.bit_count())
+                parts = [group, remaining ^ group]
+            else:
+                factor = 0
+                parts = []
+                todo = remaining
+                while todo:
+                    low = todo & -todo
+                    todo ^= low
+                    if not requires[low.bit_length() - 1] & remaining:
+                        parts.append(remaining ^ low)
+            stack[-1] = (remaining, (factor, parts))
+            stack += [(part, None) for part in parts if part not in counts]
+        return counts[target]
 
     return requires, count
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import random
 from itertools import permutations
 
+from psrkit.baselines import BaselineConfig, Variant
 from psrkit.model import (
     AssemblyState,
     EventSource,
@@ -14,6 +15,8 @@ from psrkit.model import (
     StepSequence,
     Transition,
     apply_transition,
+    expected_states,
+    transition_to,
 )
 
 
@@ -32,7 +35,7 @@ def linear_spec(k: int, spec_id: str = "chain") -> ProcedureSpec:
         id=spec_id,
         components=tuple(f"part {i}" for i in range(k)),
         actions=actions,
-        initial_state=AssemblyState.all_absent(k),
+        initial_state=AssemblyState.from_values([0] * k),
     )
 
 
@@ -45,7 +48,7 @@ def independent_spec(k: int, spec_id: str = "independent") -> ProcedureSpec:
         id=spec_id,
         components=tuple(f"part {i}" for i in range(k)),
         actions=actions,
-        initial_state=AssemblyState.all_absent(k),
+        initial_state=AssemblyState.from_values([0] * k),
     )
 
 
@@ -108,7 +111,7 @@ def random_install_procedure(rng: random.Random, n_min: int = 4, n_max: int = 8)
         id=f"random-{n}",
         components=tuple(f"part {i}" for i in range(n)),
         actions=tuple(actions),
-        initial_state=AssemblyState.all_absent(n),
+        initial_state=AssemblyState.from_values([0] * n),
     )
 
 
@@ -162,6 +165,62 @@ def reference_sample_order(spec: ProcedureSpec, rng: random.Random) -> list[str]
         order.append(choice)
         remaining -= {choice}
     return order
+
+
+def reference_recognise(config: BaselineConfig, spec: ProcedureSpec, frames) -> list:
+    """B1/B2/B3 straight from the README definitions, without caches.
+
+    Returns one (events completed, accumulators afterwards) pair per
+    frame. B3's guard is membership in the listed reachable states, so
+    only small procedures are practical.
+    """
+    b3 = config.variant is Variant.B3
+    reachable = {s.as_ints() for s in expected_states(spec)} if b3 else set()
+    belief = list(spec.initial_state.as_ints()) if b3 else None
+    confs = [0.0] * spec.n_components
+    emitted: set[str] = set()
+    out = []
+    for frame in frames:
+        changes = []  # (component, value, event confidence), in firing order
+        if frame.detections:
+            # top detection; max() keeps the first of equal confidences
+            top = max(frame.detections, key=lambda d: d.confidence)
+            detected = list(top.state.as_ints())
+            if belief is None:
+                belief = detected
+            elif config.variant is Variant.B1:
+                if top.confidence >= config.detection_threshold:
+                    changes = [
+                        (i, value, top.confidence)
+                        for i, value in enumerate(detected)
+                        if value != belief[i]
+                    ]
+                    belief = detected
+            else:
+                for i, value in enumerate(detected):
+                    if value == belief[i]:
+                        confs[i] *= config.decay
+                        continue
+                    confs[i] += top.confidence
+                    candidate = tuple(belief[:i] + [value] + belief[i + 1 :])
+                    if confs[i] > config.accumulation_threshold and (
+                        not b3 or candidate in reachable
+                    ):
+                        changes.append((i, value, confs[i]))
+                        belief[i] = value
+                        confs[i] = 0.0
+        events = []
+        for component, value, confidence in changes:
+            transition = transition_to(value)
+            action_id = spec.step_id(component, transition)
+            if action_id not in emitted:  # a step fires at most once per run
+                emitted.add(action_id)
+                events.append(
+                    StepEvent(action_id, component, transition, frame.time_s, frame.frame,
+                              confidence, EventSource.RECOGNIZED)
+                )
+        out.append((events, tuple(confs)))
+    return out
 
 
 def oracle_expected_states(spec: ProcedureSpec) -> frozenset[AssemblyState]:

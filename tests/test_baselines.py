@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import independent_spec, linear_spec, maintenance_spec, random_install_procedure
+from helpers import (
+    independent_spec,
+    linear_spec,
+    maintenance_spec,
+    random_install_procedure,
+    reference_recognise,
+)
 from psrkit import baselines
 from psrkit.baselines import (
     BaselineConfig,
@@ -19,7 +25,7 @@ from psrkit.baselines import (
     run_baseline,
     select_top_detection,
 )
-from psrkit.model import AssemblyState, Transition, expected_states
+from psrkit.model import AssemblyState, Transition, expected_states, is_reachable
 from psrkit.simulate import ErrorInjection, SimConfig, simulate
 
 FPS = 10.0
@@ -94,7 +100,7 @@ class TestInitialization:
             id="bad",
             components=("x",),
             actions=(ProceduralAction("a", 5, Transition.INSTALL),),
-            initial_state=AssemblyState.all_absent(1),
+            initial_state=AssemblyState.from_values([0]),
         )
         with pytest.raises(ValueError, match="invalid procedure"):
             StepRecognizer(BaselineConfig(Variant.B1), bad)
@@ -116,7 +122,7 @@ class TestB1:
         recognizer = StepRecognizer(BaselineConfig(Variant.B1), spec)
         recognizer.process(frame(0, det([0, 0, 0], 0.9)))
         assert recognizer.process(frame(1, det([1, 0, 0], 0.4))) == []
-        assert recognizer.current_state == AssemblyState.all_absent(3)
+        assert recognizer.current_state == AssemblyState.from_values([0, 0, 0])
 
     def test_multi_component_change_ascending(self):
         spec = linear_spec(3)
@@ -207,41 +213,46 @@ class TestB2:
         assert recognizer.current_state == AssemblyState.from_values([-1, 0])
 
 
-class _AlwaysHot(StepRecognizer):
-    """Reference recognizer whose all-quiet early exit never fires."""
-
-    @property
-    def _hot(self):
-        return 1
-
-    @_hot.setter
-    def _hot(self, value):
-        pass
-
-
-class TestHotCount:
-    @settings(max_examples=150, deadline=None)
+class TestAgainstReference:
+    @settings(max_examples=300, deadline=None)
     @given(
-        st.sampled_from([Variant.B2, Variant.B3]),
-        st.sampled_from([0.75, 1e-200]),  # the tiny decay reaches 0.0 in two frames
-        st.lists(
-            st.none() | st.tuples(
-                st.lists(st.sampled_from([-1, 0, 1]), min_size=3, max_size=3),
-                st.sampled_from([0.0, 0.0, 0.4, 1.0]),
+        st.sampled_from(list(Variant)),
+        st.sampled_from([1e-200, 0.01, 0.75, 1.0]),  # 1e-200 underflows to 0.0 in two frames
+        st.sampled_from([0.0, 0.5, 1.0, 8.0]),
+        st.one_of(
+            st.integers(0, 10_000).map(
+                lambda seed: random_install_procedure(random.Random(seed), 2, 5)
             ),
-            max_size=60,
+            st.builds(
+                maintenance_spec,
+                chains=st.integers(1, 2),
+                chain_length=st.integers(1, 2),
+                service_parts=st.integers(0, 2),
+            ),
         ),
+        st.data(),
     )
-    def test_hot_counts_non_zero_accumulators(self, variant, decay, rows):
-        spec = maintenance_spec(chains=1, chain_length=2, service_parts=1)
-        config = BaselineConfig(variant, accumulation_threshold=1.0, decay=decay)
+    def test_same_events_and_confidences(self, variant, decay, threshold, spec, data):
+        # rows pick from a few states, so conflicts persist long enough to fire
+        n = spec.n_components
+        pool = data.draw(
+            st.lists(st.lists(st.sampled_from([-1, 0, 1]), min_size=n, max_size=n),
+                     min_size=1, max_size=4)
+        )
+        detection = st.builds(
+            det, st.sampled_from(pool), st.sampled_from([0.0, 0.0, 0.4, 0.9, 1.0])
+        )
+        rows = data.draw(st.lists(st.lists(detection, max_size=2), min_size=20, max_size=60))
+        frames = stream_of(rows)
+        config = BaselineConfig(
+            variant, detection_threshold=threshold, accumulation_threshold=threshold, decay=decay
+        )
         recognizer = StepRecognizer(config, spec)
-        reference = _AlwaysHot(config, spec)
-        for index, row in enumerate(rows):
-            current = frame(index) if row is None else frame(index, det(*row))
-            assert recognizer.process(current) == reference.process(current)
-            assert recognizer._hot == sum(c != 0.0 for c in recognizer.confidences)
-        assert recognizer.events == reference.events
+        for current, (events, confidences) in zip(
+            frames, reference_recognise(config, spec, frames)
+        ):
+            assert recognizer.process(current) == events
+            assert recognizer.confidences == confidences
 
 
 class TestB3:
@@ -341,6 +352,21 @@ class TestB3:
         assert run_all() == exact
         assert any(-1 in values for values in rejected)
         assert any(-1 not in values for values in rejected)
+
+    def test_rejected_candidate_is_tested_once(self, monkeypatch):
+        spec = linear_spec(3)
+        calls = []
+
+        def counting_guard(procedure, values):
+            calls.append(values)
+            return is_reachable(procedure, values)
+
+        monkeypatch.setattr(baselines, "is_reachable", counting_guard)
+        predicted = run_baseline(
+            BaselineConfig(Variant.B3), spec, stream_of([det([0, 1, 0], 1.0)] * 200), FPS
+        )
+        assert predicted.events == ()
+        assert calls == [(0, 1, 0)]
 
 
 class TestRunBaseline:

@@ -374,7 +374,7 @@ class TestSimulateCommand:
             ]
         spec = ProcedureSpec(
             shape, tuple(f"part {c}" for c in range(40)), tuple(actions),
-            AssemblyState.all_absent(40),
+            AssemblyState.from_values([0] * 40),
         )
         spec_path = tmp_path / f"{shape}.procedure.json"
         write_procedure(spec_path, spec)
@@ -393,6 +393,38 @@ class TestSimulateCommand:
             for action_id in gt.action_ids():
                 assert spec.action_by_id(action_id).prerequisites <= done
                 done.add(action_id)
+
+    def test_long_chain_does_not_recurse(self, tmp_path):
+        # 1,100 actions in one prerequisite chain: deeper than the default
+        # recursion limit, so counting orders must not recurse per action
+        spec = linear_spec(1100)
+        spec_path = tmp_path / "chain.procedure.json"
+        write_procedure(spec_path, spec)
+        config = tmp_path / "cfg.json"
+        config.write_text(
+            '{"fps": 1.0, "dwell_mean_s": 1.0, "dwell_jitter_s": 0.0, "detect_prob": 0.0}',
+            encoding="utf-8",
+        )
+        out = tmp_path / "sim"
+        rc = main(
+            ["simulate", "--spec", str(spec_path), "--seed", "1", "--config", str(config),
+             "--out-dir", str(out), "--recording-id", "chain"]
+        )
+        assert rc == 0
+        _, gt = read_ground_truth(out / "chain.gt.jsonl", spec)
+        assert gt.action_ids() == tuple(f"a{i}" for i in range(1100))
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_bytes(b'\xff{"fps": 5.0}')
+        out = tmp_path / "sim"
+        rc = main(
+            ["simulate", "--spec", CAR, "--seed", "1", "--config", str(config),
+             "--out-dir", str(out)]
+        )
+        assert rc == 1
+        assert f"{config}: file is not valid UTF-8:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_file_fields_apply(self, tmp_path):
         config = tmp_path / "cfg.json"

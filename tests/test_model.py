@@ -57,7 +57,7 @@ class TestParseState:
 
     def test_comma_all_absent(self):
         state = parse_state_text("0,0,0,0,0,0,0,0,0,0,0")
-        assert state == AssemblyState.all_absent(11)
+        assert state == AssemblyState.from_values([0] * 11)
 
     def test_comma_with_incorrect(self):
         state = parse_state_text("1,-1,0,0,0,0,0,0,0,0,0")
@@ -151,13 +151,14 @@ class TestExpectedStates:
         assert {s.as_ints() for s in got} == {(0, 0), (1, 0), (0, 1), (1, 1)}
 
     def test_no_actions(self):
-        spec = ProcedureSpec("empty", ("only",), (), AssemblyState.all_absent(1))
+        spec = ProcedureSpec("empty", ("only",), (), AssemblyState.from_values([0]))
         assert expected_states(spec) == frozenset({spec.initial_state})
 
     def test_contains_initial_and_final(self, car_spec):
         got = expected_states(car_spec)
         assert car_spec.initial_state in got
-        assert car_spec.final_state() in got
+        # every part installed except component 4, which no action touches
+        assert AssemblyState.from_values([1, 1, 1, 1, 0, 1, 1, 1, 1, 1, 1]) in got
 
     def test_matches_oracle_on_random_procedures(self):
         rng = random.Random(2024)
@@ -176,7 +177,7 @@ class TestExpectedStates:
                 ProceduralAction("a", 0, Transition.INSTALL, frozenset({"b"})),
                 ProceduralAction("b", 1, Transition.INSTALL, frozenset({"a"})),
             ),
-            initial_state=AssemblyState.all_absent(2),
+            initial_state=AssemblyState.from_values([0, 0]),
         )
         with pytest.raises(ValueError, match="cycle"):
             expected_states(spec)
@@ -258,7 +259,7 @@ class TestIsReachable:
                 ProceduralAction("remove", 0, Transition.REMOVE, frozenset({"install"})),
                 ProceduralAction("next", 1, Transition.INSTALL, frozenset({"remove"})),
             ),
-            AssemblyState.all_absent(2),
+            AssemblyState.from_values([0, 0]),
         )
         assert is_reachable(spec, (0, 1))
         assert not is_reachable(spec, (1, 1))
@@ -270,7 +271,7 @@ class TestIsReachable:
 
 class TestIsErrorState:
     def test_all_absent(self):
-        assert not is_error_state(AssemblyState.all_absent(11))
+        assert not is_error_state(AssemblyState.from_values([0] * 11))
 
     def test_all_installed(self):
         assert not is_error_state(state_of([1] * 11))
@@ -289,7 +290,7 @@ class TestValidateProcedure:
             id="bad",
             components=tuple(f"c{i}" for i in range(11)),
             actions=(ProceduralAction("a", 99, Transition.INSTALL),),
-            initial_state=AssemblyState.all_absent(11),
+            initial_state=AssemblyState.from_values([0] * 11),
         )
         diagnostics = validate_procedure(spec)
         assert len(diagnostics) == 1
@@ -303,7 +304,7 @@ class TestValidateProcedure:
                 ProceduralAction("a", 0, Transition.INSTALL, frozenset({"b"})),
                 ProceduralAction("b", 1, Transition.INSTALL, frozenset({"a"})),
             ),
-            initial_state=AssemblyState.all_absent(2),
+            initial_state=AssemblyState.from_values([0, 0]),
         )
         assert any("cycle" in d for d in validate_procedure(spec))
 
@@ -315,7 +316,7 @@ class TestValidateProcedure:
                 ProceduralAction("a", 0, Transition.INSTALL),
                 ProceduralAction("a", 0, Transition.INSTALL),
             ),
-            initial_state=AssemblyState.all_absent(1),
+            initial_state=AssemblyState.from_values([0]),
         )
         diagnostics = validate_procedure(spec)
         assert any("duplicate action id" in d for d in diagnostics)
@@ -326,7 +327,7 @@ class TestValidateProcedure:
             id="bad",
             components=("x",),
             actions=(ProceduralAction("a", 0, Transition.INSTALL, frozenset({"ghost"})),),
-            initial_state=AssemblyState.all_absent(1),
+            initial_state=AssemblyState.from_values([0]),
         )
         assert any("ghost" in d for d in validate_procedure(spec))
 
@@ -335,7 +336,7 @@ class TestValidateProcedure:
             id="bad",
             components=("x", "y"),
             actions=(),
-            initial_state=AssemblyState.all_absent(3),
+            initial_state=AssemblyState.from_values([0, 0, 0]),
         )
         assert any("initial state" in d for d in validate_procedure(spec))
 

@@ -95,7 +95,7 @@ class TestSampleExecution:
         assert sequence.action_ids() == ("a0", "a1", "a3")
         final = timeline[-1][1]
         assert final[2] is ComponentStatus.ABSENT
-        assert final != spec.final_state()
+        assert final != AssemblyState.from_values([1, 1, 1, 1])
 
     def test_incorrect_completion(self):
         spec = linear_spec(4)
@@ -129,7 +129,7 @@ class TestSampleExecution:
                 ProceduralAction("put", 0, Transition.INSTALL),
                 ProceduralAction("take", 0, Transition.REMOVE, frozenset({"put"})),
             ),
-            initial_state=AssemblyState.all_absent(1),
+            initial_state=AssemblyState.from_values([0]),
         )
         injection = ErrorInjection(incorrect=frozenset({"put", "take"}))
         with pytest.raises(ValueError, match="component 0"):
@@ -155,7 +155,7 @@ class TestSampleExecution:
                 ProceduralAction("b", 1, Transition.INSTALL),
                 ProceduralAction("c", 2, Transition.INSTALL, frozenset({"a"})),
             ),
-            initial_state=AssemblyState.all_absent(3),
+            initial_state=AssemblyState.from_values([0, 0, 0]),
         )
         counts = Counter(
             sample_execution(spec, cfg=SimConfig(seed=seed))[0].action_ids()
