@@ -40,32 +40,73 @@ class Variant(enum.Enum):
     B3 = "b3"
 
 
-@dataclass(frozen=True)
 class Detection:
-    """One detected assembly state with its confidence."""
+    """One detected assembly state with its confidence.
 
-    state: AssemblyState
-    confidence: float
-    box: tuple[float, float, float, float] | None = None
+    A plain slots class, because a reader builds one per detection and
+    its construction must stay cheap. Instances compare by value and
+    are not hashable.
+    """
 
-    def __post_init__(self):
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(
-                f"detection confidence must be in [0, 1], got {self.confidence}"
-            )
+    __slots__ = ("state", "confidence", "box")
+
+    def __init__(
+        self,
+        state: AssemblyState,
+        confidence: float,
+        box: tuple[float, float, float, float] | None = None,
+    ):
+        if not 0.0 <= confidence <= 1.0:
+            raise ValueError(f"detection confidence must be in [0, 1], got {confidence}")
+        self.state = state
+        self.confidence = confidence
+        self.box = box
+
+    def __eq__(self, other):
+        if other.__class__ is not Detection:
+            return NotImplemented
+        return (self.state, self.confidence, self.box) == (
+            other.state,
+            other.confidence,
+            other.box,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"Detection(state={self.state!r}, confidence={self.confidence!r}, "
+            f"box={self.box!r})"
+        )
 
 
-@dataclass(frozen=True)
 class DetectionFrame:
-    """All detections of one video frame (possibly none)."""
+    """All detections of one video frame (possibly none).
 
-    frame: int
-    time_s: float
-    detections: tuple[Detection, ...] = ()
+    A plain slots class like Detection: compared by value, not hashable.
+    """
 
-    def __post_init__(self):
-        if self.frame < 0:
-            raise ValueError(f"frame index must be non-negative, got {self.frame}")
+    __slots__ = ("frame", "time_s", "detections")
+
+    def __init__(self, frame: int, time_s: float, detections: tuple[Detection, ...] = ()):
+        if frame < 0:
+            raise ValueError(f"frame index must be non-negative, got {frame}")
+        self.frame = frame
+        self.time_s = time_s
+        self.detections = detections
+
+    def __eq__(self, other):
+        if other.__class__ is not DetectionFrame:
+            return NotImplemented
+        return (self.frame, self.time_s, self.detections) == (
+            other.frame,
+            other.time_s,
+            other.detections,
+        )
+
+    def __repr__(self) -> str:
+        return (
+            f"DetectionFrame(frame={self.frame!r}, time_s={self.time_s!r}, "
+            f"detections={self.detections!r})"
+        )
 
 
 @dataclass(frozen=True)
@@ -92,9 +133,13 @@ class BaselineConfig:
 
 def select_top_detection(frame: DetectionFrame) -> tuple[AssemblyState, float] | None:
     """Highest-confidence detection of a frame; ties keep the first listed."""
-    if not frame.detections:
+    detections = frame.detections
+    if not detections:
         return None
-    best = max(frame.detections, key=lambda d: d.confidence)
+    if len(detections) == 1:
+        best = detections[0]
+    else:
+        best = max(detections, key=lambda d: d.confidence)
     return best.state, best.confidence
 
 

@@ -17,6 +17,7 @@ import json
 import math
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
+from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -152,13 +153,20 @@ def _parse_manifest(obj, expected_kind: str | None, path, line=1) -> FileManifes
     )
 
 
+# one decoder for every JSONL line: raw_decode skips the type, BOM and
+# whitespace checks json.loads makes on each call; _iter_jsonl falls back
+# to json.loads on every line where those checks could matter
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def _iter_jsonl(path):
     """Yield (line_number, parsed object) for each non-blank line.
 
     The file is read one line at a time and closed when the generator
     ends or is closed. Lines are numbered as str.splitlines() numbers
     the whole text; a UTF-8 error names the newline-delimited line that
-    holds the bad byte.
+    holds the bad byte. A line is parsed exactly as json.loads parses
+    it, and an invalid one raises json.loads's message.
     """
     try:
         handle = open(path, "rb")
@@ -179,9 +187,17 @@ def _iter_jsonl(path):
                 if not raw.strip():
                     continue
                 try:
-                    yield number, json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"invalid JSON: {exc.msg}", path, number) from None
+                    obj, end = _raw_decode(raw)
+                except json.JSONDecodeError:
+                    end = -1
+                if end != len(raw):
+                    # surrounding whitespace, a BOM, extra data or invalid
+                    # JSON: json.loads gives the same object or the message
+                    try:
+                        obj = json.loads(raw)
+                    except json.JSONDecodeError as exc:
+                        raise FormatError(f"invalid JSON: {exc.msg}", path, number) from None
+                yield number, obj
 
 
 def _read_jsonl(path, expected_kind):
@@ -197,22 +213,23 @@ def _read_jsonl(path, expected_kind):
     return manifest, rows
 
 
-def _state_rows(path, rows, spec: ProcedureSpec | None, strict: bool):
-    """Yield (line, frame, record, state_of) for each record of a stream or step file.
+def _state_rows(path, rows, spec: ProcedureSpec | None, strict: bool, record):
+    """Yield record(line, frame, obj, state_of) for each record of a stream or step file.
 
-    Every record must be an object whose 'frame' is a non-negative
-    integer, strictly increasing in a stream (``strict``) and
-    non-decreasing in a step file. ``state_of(obj, line)`` parses the
-    'state' string of ``obj`` through one memo per file, so each distinct
-    string is parsed and width-checked once. The width is the
-    procedure's when one is given, otherwise the first state's.
+    This is the one row loop of both line-oriented kinds; ``record``
+    turns a checked row into what the kind yields. Every record must be
+    an object whose 'frame' is a non-negative integer, strictly
+    increasing in a stream (``strict``) and non-decreasing in a step
+    file. ``state_of(text, line)`` parses a 'state' value through one
+    memo per file, so each distinct string is parsed and width-checked
+    once. The width is the procedure's when one is given, otherwise the
+    first state's.
     """
     states: dict[str, AssemblyState] = {}
     width = spec.n_components if spec is not None else None
 
-    def state_of(obj, line) -> AssemblyState:
+    def state_of(text, line) -> AssemblyState:
         nonlocal width
-        text = obj.get("state")
         if not isinstance(text, str):
             raise FormatError("'state' must be a string", path, line)
         state = states.get(text)
@@ -241,15 +258,17 @@ def _state_rows(path, rows, spec: ProcedureSpec | None, strict: bool):
     for line, obj in rows:
         if not isinstance(obj, dict):
             raise FormatError(f"{noun} record must be a JSON object", path, line)
-        frame = _as_int(obj.get("frame"), "'frame'", path, line)
+        frame = obj.get("frame")
+        if frame.__class__ is not int:  # so a bool goes on to _as_int, which rejects it
+            frame = _as_int(frame, "'frame'", path, line)
         if frame < 0:
             raise FormatError(f"frame index must be non-negative, got {frame}", path, line)
-        if frame < last_frame or (strict and frame == last_frame):
+        if frame <= last_frame and (strict or frame < last_frame):
             raise FormatError(
                 f"frame {frame} out of order (previous was {last_frame})", path, line
             )
         last_frame = frame
-        yield line, frame, obj, state_of
+        yield record(line, frame, obj, state_of)
 
 
 # ---------------------------------------------------------------------------
@@ -268,31 +287,33 @@ def iter_stream_file(
     procedure, every state must have its component count.
     """
     manifest, rows = _read_jsonl(path, "stream")
-    return manifest, _stream_frames(path, manifest.fps, rows, spec)
+    record = partial(_frame_record, path, manifest.fps)
+    return manifest, _state_rows(path, rows, spec, True, record)
 
 
-def _stream_frames(path, fps: float, rows, spec: ProcedureSpec | None):
-    for line, frame, obj, state_of in _state_rows(path, rows, spec, strict=True):
-        raw_detections = obj.get("detections", [])
-        if not isinstance(raw_detections, list):
-            raise FormatError("'detections' must be a list", path, line)
-        detections = []
-        for raw in raw_detections:
-            if not isinstance(raw, dict):
-                raise FormatError("detection must be a JSON object", path, line)
-            state = state_of(raw, line)
-            confidence = _as_number(raw.get("conf"), "'conf'", path, line)
-            box = None
-            if raw.get("box") is not None:
-                raw_box = raw["box"]
-                if not isinstance(raw_box, list) or len(raw_box) != 4:
-                    raise FormatError("'box' must be a list of four numbers", path, line)
-                box = tuple(_as_number(v, "'box' entry", path, line) for v in raw_box)
-            try:
-                detections.append(Detection(state, confidence, box))
-            except ValueError as exc:
-                raise FormatError(str(exc), path, line) from None
-        yield DetectionFrame(frame, frame / fps, tuple(detections))
+def _frame_record(path, fps: float, line, frame, obj, state_of) -> DetectionFrame:
+    """The DetectionFrame of one stream row whose frame index is checked."""
+    raw_detections = obj.get("detections", ())  # JSON has no tuples: () means absent
+    if raw_detections.__class__ is not list and raw_detections != ():
+        raise FormatError("'detections' must be a list", path, line)
+    detections = []
+    for raw in raw_detections:
+        if not isinstance(raw, dict):
+            raise FormatError("detection must be a JSON object", path, line)
+        state = state_of(raw.get("state"), line)
+        confidence = raw.get("conf")
+        if confidence.__class__ is not float:
+            confidence = _as_number(confidence, "'conf'", path, line)
+        box = raw.get("box")
+        if box is not None:
+            if not isinstance(box, list) or len(box) != 4:
+                raise FormatError("'box' must be a list of four numbers", path, line)
+            box = tuple(_as_number(v, "'box' entry", path, line) for v in box)
+        try:
+            detections.append(Detection(state, confidence, box))
+        except ValueError as exc:
+            raise FormatError(str(exc), path, line) from None
+    return DetectionFrame(frame, frame / fps, tuple(detections))
 
 
 def read_stream(path) -> tuple[FileManifest, list[DetectionFrame]]:
@@ -320,16 +341,20 @@ def write_stream(path, manifest: FileManifest, frames) -> None:
 # step sequences (ground truth and predictions share the format)
 
 
+def _step_record(path, line, frame, obj, state_of):
+    """(line, frame, state, confidence) for one row of a step file."""
+    state = state_of(obj.get("state"), line)
+    confidence = 1.0
+    if "conf" in obj:
+        confidence = _as_number(obj["conf"], "'conf'", path, line)
+        if confidence < 0:
+            raise FormatError(f"'conf' must be >= 0, got {confidence}", path, line)
+    return line, frame, state, confidence
+
+
 def _step_rows(path, rows, spec: ProcedureSpec | None):
     """Yield (line, frame, state, confidence) for each row of a step file."""
-    for line, frame, obj, state_of in _state_rows(path, rows, spec, strict=False):
-        state = state_of(obj, line)
-        confidence = 1.0
-        if "conf" in obj:
-            confidence = _as_number(obj["conf"], "'conf'", path, line)
-            if confidence < 0:
-                raise FormatError(f"'conf' must be >= 0, got {confidence}", path, line)
-        yield line, frame, state, confidence
+    return _state_rows(path, rows, spec, False, partial(_step_record, path))
 
 
 def read_ground_truth(

@@ -53,16 +53,19 @@ def transition_to(value: int) -> Transition:
         raise ValueError(f"component status must be -1, 0 or 1, got {value}") from None
 
 
+# Lookups by transition are keyed on its plain ``_value_`` string: a
+# Transition key would hash through Enum.__hash__, which runs in Python,
+# on every step event and every B3 guard test.
 _TARGET_VALUE = {
-    Transition.INSTALL: ComponentStatus.INSTALLED,
-    Transition.REMOVE: ComponentStatus.ABSENT,
-    Transition.INCORRECT: ComponentStatus.INCORRECT,
+    Transition.INSTALL.value: ComponentStatus.INSTALLED,
+    Transition.REMOVE.value: ComponentStatus.ABSENT,
+    Transition.INCORRECT.value: ComponentStatus.INCORRECT,
 }
 
 
 def transition_target(transition: Transition) -> ComponentStatus:
     """The component status a transition leaves behind."""
-    return _TARGET_VALUE[transition]
+    return _TARGET_VALUE[transition._value_]
 
 
 @dataclass(frozen=True)
@@ -132,15 +135,15 @@ class ProcedureSpec:
         return {a.action_id: a for a in self.actions}
 
     @cached_property
-    def _by_pair(self) -> dict[tuple[int, Transition], ProceduralAction]:
-        return {(a.component, a.transition): a for a in self.actions}
+    def _by_pair(self) -> dict[tuple[int, str], ProceduralAction]:
+        return {(a.component, a.transition._value_): a for a in self.actions}
 
     def action_by_id(self, action_id: str) -> ProceduralAction:
         return self._by_id[action_id]
 
     def action_for(self, component: int, transition: Transition) -> ProceduralAction | None:
         """The action defining this (component, transition) pair, if any."""
-        return self._by_pair.get((component, transition))
+        return self._by_pair.get((component, transition._value_))
 
     def ensure_valid(self) -> None:
         diagnostics = validate_procedure(self)
@@ -319,7 +322,7 @@ def diff_states(prev: AssemblyState, next_state: AssemblyState) -> list[tuple[in
 
 def apply_transition(state: AssemblyState, component: int, transition: Transition) -> AssemblyState:
     """Apply one component transition to a state."""
-    return state.replace(component, _TARGET_VALUE[transition])
+    return state.replace(component, _TARGET_VALUE[transition._value_])
 
 
 def expected_states(spec: ProcedureSpec) -> frozenset[AssemblyState]:
@@ -400,7 +403,7 @@ def is_reachable(spec: ProcedureSpec, values) -> bool:
         requires[action.action_id] = set(action.prerequisites)
         pending.extend(spec.action_by_id(pre) for pre in action.prerequisites)
         target = values[action.component]
-        if target != _TARGET_VALUE[action.transition]:
+        if target != _TARGET_VALUE[action.transition._value_]:
             last = spec.action_for(action.component, transition_to(target))
             if last is None:
                 return False

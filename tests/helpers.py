@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import json
 import random
 from itertools import permutations
 
 from psrkit.baselines import BaselineConfig, Variant
+from psrkit.formats import FormatError, _as_int, _as_number, _parse_manifest
 from psrkit.model import (
     AssemblyState,
     EventSource,
@@ -16,6 +18,7 @@ from psrkit.model import (
     Transition,
     apply_transition,
     expected_states,
+    parse_state_text,
     transition_to,
 )
 
@@ -221,6 +224,106 @@ def reference_recognise(config: BaselineConfig, spec: ProcedureSpec, frames) -> 
                 )
         out.append((events, tuple(confs)))
     return out
+
+
+def reference_read_stream(path, spec: ProcedureSpec | None = None):
+    """A detection-stream file read the plain way: (manifest, frames).
+
+    The stream reader before it was tuned for speed, in one loop:
+    json.loads on every splitlines() line and every check in the same
+    order, so the first bad line raises the same located FormatError. A
+    frame is (frame, time_s, detections), a detection (state,
+    confidence, box).
+    """
+    try:
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise FormatError(f"cannot read file: {exc.strerror or exc}", path) from None
+    manifest = None
+    states: dict[str, AssemblyState] = {}
+    width = spec.n_components if spec is not None else None
+    frames = []
+    last_frame = -1
+    number = 0
+    with handle:
+        for physical, raw_bytes in enumerate(handle, start=1):
+            try:
+                text = raw_bytes.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(
+                    f"file is not valid UTF-8: {exc.reason}", path, physical
+                ) from None
+            for raw in text.splitlines():
+                number += 1
+                line = number
+                if not raw.strip():
+                    continue
+                try:
+                    obj = json.loads(raw)
+                except json.JSONDecodeError as exc:
+                    raise FormatError(f"invalid JSON: {exc.msg}", path, line) from None
+                if manifest is None:
+                    manifest = _parse_manifest(obj, "stream", path)
+                    continue
+                if not isinstance(obj, dict):
+                    raise FormatError("frame record must be a JSON object", path, line)
+                frame = _as_int(obj.get("frame"), "'frame'", path, line)
+                if frame < 0:
+                    raise FormatError(
+                        f"frame index must be non-negative, got {frame}", path, line
+                    )
+                if frame <= last_frame:
+                    raise FormatError(
+                        f"frame {frame} out of order (previous was {last_frame})", path, line
+                    )
+                last_frame = frame
+                raw_detections = obj.get("detections", [])
+                if not isinstance(raw_detections, list):
+                    raise FormatError("'detections' must be a list", path, line)
+                detections = []
+                for det in raw_detections:
+                    if not isinstance(det, dict):
+                        raise FormatError("detection must be a JSON object", path, line)
+                    state_text = det.get("state")
+                    if not isinstance(state_text, str):
+                        raise FormatError("'state' must be a string", path, line)
+                    if state_text not in states:
+                        try:
+                            state = parse_state_text(state_text)
+                        except ValueError as exc:
+                            raise FormatError(str(exc), path, line) from None
+                        if width is None:
+                            width = len(state)
+                        elif len(state) != width:
+                            if spec is not None:
+                                message = (
+                                    f"state has {len(state)} components, procedure "
+                                    f"'{spec.id}' expects {width}"
+                                )
+                            else:
+                                message = (
+                                    f"state width {len(state)} differs from earlier width {width}"
+                                )
+                            raise FormatError(message, path, line)
+                        states[state_text] = state
+                    confidence = _as_number(det.get("conf"), "'conf'", path, line)
+                    box = None
+                    if det.get("box") is not None:
+                        raw_box = det["box"]
+                        if not isinstance(raw_box, list) or len(raw_box) != 4:
+                            raise FormatError("'box' must be a list of four numbers", path, line)
+                        box = tuple(_as_number(v, "'box' entry", path, line) for v in raw_box)
+                    if not 0.0 <= confidence <= 1.0:
+                        raise FormatError(
+                            f"detection confidence must be in [0, 1], got {confidence}",
+                            path,
+                            line,
+                        )
+                    detections.append((states[state_text], confidence, box))
+                frames.append((frame, frame / manifest.fps, tuple(detections)))
+    if manifest is None:
+        raise FormatError("file is empty, expected a manifest line", path, 1)
+    return manifest, frames
 
 
 def oracle_expected_states(spec: ProcedureSpec) -> frozenset[AssemblyState]:

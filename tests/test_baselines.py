@@ -70,6 +70,38 @@ class TestSelectTopDetection:
         with pytest.raises(ValueError, match="confidence"):
             det([0, 0], -0.1)
 
+    def test_single_detection(self):
+        only = det([1, 0], 0.2)
+        assert select_top_detection(frame(0, only)) == (only.state, 0.2)
+
+
+class TestFrameClasses:
+    def test_compare_by_value(self):
+        box = (0.1, 0.2, 0.3, 0.4)
+        first = Detection(AssemblyState.from_values([1, 0]), 0.5, box)
+        same = Detection(AssemblyState.from_values([1, 0]), 0.5, box)
+        assert first == same
+        assert first != Detection(first.state, 0.5)
+        assert first != (first.state, 0.5, box)
+        assert DetectionFrame(3, 0.3, (first,)) == DetectionFrame(3, 0.3, (same,))
+        assert DetectionFrame(3, 0.3, (first,)) != DetectionFrame(3, 0.3)
+
+    def test_repr_and_no_hash(self):
+        detection = Detection(AssemblyState.from_values([1]), 0.5)
+        assert repr(DetectionFrame(2, 0.2, (detection,))) == (
+            "DetectionFrame(frame=2, time_s=0.2, detections=(Detection(state="
+            "AssemblyState(statuses=(<ComponentStatus.INSTALLED: 1>,)), "
+            "confidence=0.5, box=None),))"
+        )
+        with pytest.raises(TypeError):
+            hash(detection)
+        with pytest.raises(TypeError):
+            hash(DetectionFrame(0, 0.0))
+
+    def test_negative_frame_rejected(self):
+        with pytest.raises(ValueError, match="frame index must be non-negative, got -1"):
+            DetectionFrame(-1, 0.0)
+
 
 class TestInitialization:
     def test_b3_starts_from_procedure(self):

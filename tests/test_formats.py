@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import linear_spec
+from helpers import linear_spec, reference_read_stream
 from psrkit.baselines import BaselineConfig, Detection, DetectionFrame, Variant, run_baseline
 from psrkit.formats import (
     BUILTIN_PROCEDURES,
@@ -284,6 +284,82 @@ class TestLazyStreamReader:
         assert outcome(drain) == eager
         expected = [] if isinstance(eager[0], FileManifest) else [f"{path}:{eager[1]}: {eager[0]}"]
         assert validate_file(path) == expected
+
+
+ROW = '{"frame":0,"detections":[{"state":"0,0,0","conf":0.5}]}'
+STATE = AssemblyState.from_values([0, 0, 0])
+
+
+def read_outcome(read):
+    """(manifest, frames as plain tuples) of a stream read, or its (message, line)."""
+    plain = []
+    try:
+        manifest, frames = read()
+        for frame in frames:
+            if isinstance(frame, DetectionFrame):
+                detections = tuple((d.state, d.confidence, d.box) for d in frame.detections)
+                frame = (frame.frame, frame.time_s, detections)
+            plain.append(frame)
+    except FormatError as exc:
+        assert exc.line is not None
+        return (exc.message, exc.line)
+    return manifest, plain
+
+
+class TestAgainstReferenceReader:
+    """The stream reader agrees with tests/helpers.reference_read_stream."""
+
+    @staticmethod
+    def agree(path, spec=None):
+        drained = read_outcome(lambda: iter_stream_file(path, spec))
+        assert drained == read_outcome(lambda: reference_read_stream(path, spec))
+        return drained
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), with_spec=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_mutants(self, tmp_path_factory, car_stream_bytes, car_spec, seed, with_spec):
+        path = tmp_path_factory.mktemp("mutants") / "m.jsonl"
+        path.write_bytes(mutate_bytes(car_stream_bytes, random.Random(seed)))
+        self.agree(path, car_spec if with_spec else None)
+
+    def read_rows(self, tmp_path, *rows: str | bytes):
+        path = tmp_path / "s.jsonl"
+        lines = [MANIFEST_LINE.encode()]
+        lines += [row if isinstance(row, bytes) else row.encode() for row in rows]
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        return self.agree(path)
+
+    @pytest.mark.parametrize(
+        "row, detections",
+        [
+            ("  " + ROW, ((STATE, 0.5, None),)),
+            (ROW + " \t", ((STATE, 0.5, None),)),
+            (ROW.replace("0.5", "1"), ((STATE, 1.0, None),)),
+            ('{"frame":0}', ()),
+        ],
+        ids=["leading-spaces", "trailing-spaces", "integer-conf", "no-detections"],
+    )
+    def test_accepted_rows(self, tmp_path, row, detections):
+        _, frames = self.read_rows(tmp_path, row)
+        assert frames == [(0, 0.0, detections)]
+        assert all(type(conf) is float for _, conf, _ in frames[0][2])
+
+    @pytest.mark.parametrize(
+        "rows, expected",
+        [
+            (('{"frame":0,"detections":[]}', ROW + ",{}"), ("invalid JSON: Extra data", 3)),
+            (
+                (b"\xef\xbb\xbf" + ROW.encode(),),
+                ("invalid JSON: Unexpected UTF-8 BOM (decode using utf-8-sig)", 2),
+            ),
+            ((ROW.replace("0.5", "true"),), ("'conf' must be a number", 2)),
+            ((ROW.replace('"frame":0', '"frame":false'),), ("'frame' must be an integer", 2)),
+            (('{"frame":0,"detections":null}',), ("'detections' must be a list", 2)),
+        ],
+        ids=["extra-data", "bom", "boolean-conf", "boolean-frame", "null-detections"],
+    )
+    def test_rejected_rows(self, tmp_path, rows, expected):
+        assert self.read_rows(tmp_path, *rows) == expected
 
 
 class TestGroundTruthFiles:
