@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from .formats import (
 )
 from .metrics import evaluate_recording
 from .model import EventSource, ProcedureSpec
-from .simulate import ErrorInjection, SimConfig, simulate
+from .simulate import ErrorInjection, Scenario, SimConfig, iter_stream, sample_execution
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -118,7 +119,9 @@ def cmd_simulate(args) -> int:
         incorrect=frozenset(args.incorrect or ()),
         swaps=tuple(args.swap or ()),
     )
-    scenario = simulate(spec, injection, cfg, recording_id=args.recording_id)
+    rng = random.Random(cfg.seed)  # simulate()'s draws, rendered as they are written
+    sequence, timeline = sample_execution(spec, injection, cfg, rng, args.recording_id)
+    scenario = Scenario(sequence, timeline, iter_stream(timeline, cfg, rng=rng))
     paths = write_scenario(args.out_dir, scenario, spec, cfg, injection)
     for key in ("stream", "ground_truth", "scenario"):
         print(paths[key])

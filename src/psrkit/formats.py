@@ -323,18 +323,33 @@ def read_stream(path) -> tuple[FileManifest, list[DetectionFrame]]:
 
 
 def write_stream(path, manifest: FileManifest, frames) -> None:
-    """Write a detection-stream file (inverse of read_stream)."""
+    """Write a detection-stream file (inverse of read_stream), frame by frame.
+
+    Each distinct state is serialized once and needs no JSON escaping. An
+    int frame and a float conf without a box are formatted directly, as
+    repr(float) is what json.dumps writes; other values use json.dumps.
+    """
+    texts: dict[AssemblyState, str] = {}
+    state, text = object(), ""  # the last state looked up, and its text
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(manifest.to_json() + "\n")
         for frame in frames:
-            detections = []
+            cells = []
             for det in frame.detections:
-                record: dict = {"state": serialize_state(det.state), "conf": det.confidence}
+                if det.state is not state:
+                    state = det.state
+                    text = texts.get(state)
+                    if text is None:
+                        text = texts[state] = serialize_state(state)
+                if det.confidence.__class__ is float and det.box is None:
+                    cells.append('{"state":"%s","conf":%r}' % (text, det.confidence))
+                    continue
+                record: dict = {"state": text, "conf": det.confidence}
                 if det.box is not None:
                     record["box"] = list(det.box)
-                detections.append(record)
-            row = {"frame": frame.frame, "detections": detections}
-            handle.write(json.dumps(row, separators=(",", ":")) + "\n")
+                cells.append(json.dumps(record, separators=(",", ":")))
+            number = frame.frame if frame.frame.__class__ is int else json.dumps(frame.frame)
+            handle.write('{"frame":%s,"detections":[%s]}\n' % (number, ",".join(cells)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import math
 import random
-from collections.abc import Callable
+from bisect import bisect
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, fields
+from itertools import accumulate
 
 from .baselines import Detection, DetectionFrame
 from .model import (
@@ -113,11 +115,12 @@ NO_INJECTION = ErrorInjection()
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulated recording: what happened, and what was detected."""
+    """One simulated recording: what happened, and what was detected (stream
+    is a tuple, or a one-shot iterator rendered as it is written)."""
 
     ground_truth: StepSequence
     timeline: tuple[tuple[int, AssemblyState], ...]
-    stream: tuple[DetectionFrame, ...]
+    stream: tuple[DetectionFrame, ...] | Iterator[DetectionFrame]
 
     def __post_init__(self):
         starts = [frame for frame, _ in self.timeline]
@@ -228,8 +231,9 @@ def _sample_order(spec: ProcedureSpec, rng: random.Random) -> list[str]:
 
     Each ready action, taken in sorted id order, is weighted by the exact
     number of completions of the remainder, which makes every full order
-    equally likely rather than biasing towards early branching. One
-    rng.choices call per step, so a seed always draws the same order.
+    equally likely rather than biasing towards early branching. Each step
+    draws as rng.choices would, so a seed always draws the same order, or
+    with rng.randrange where the total is too large for a float.
     """
     index = {a.action_id: i for i, a in enumerate(spec.actions)}
     requires, count = _order_counter(spec)
@@ -241,8 +245,12 @@ def _sample_order(spec: ProcedureSpec, rng: random.Random) -> list[str]:
             for aid, i in index.items()
             if remaining >> i & 1 and not requires[i] & remaining
         )
-        weights = [count(remaining ^ (1 << index[aid])) for aid in ready]
-        choice = rng.choices(ready, weights=weights)[0]
+        cum = list(accumulate(count(remaining ^ (1 << index[aid])) for aid in ready))
+        try:
+            point = float(cum[-1]) * rng.random()
+        except OverflowError:  # a total rng.choices rejects
+            point = rng.randrange(cum[-1])
+        choice = ready[bisect(cum, point, 0, len(cum) - 1)]
         order.append(choice)
         remaining ^= 1 << index[choice]
     return order
@@ -327,13 +335,6 @@ def _hamming_neighbor(state: AssemblyState, rng: random.Random) -> AssemblyState
     return state.replace(component, rng.choice(alternatives))
 
 
-def default_frame_count(
-    timeline: tuple[tuple[int, AssemblyState], ...], cfg: SimConfig
-) -> int:
-    """Stream length: one trailing dwell past the last state change."""
-    return timeline[-1][0] + max(1, round(cfg.dwell_mean_s * cfg.fps))
-
-
 def iter_stream(
     timeline,
     cfg: SimConfig,
@@ -344,24 +345,26 @@ def iter_stream(
     timeline = tuple(timeline)
     if rng is None:
         rng = random.Random(cfg.seed)
-    if n_frames is None:
-        n_frames = default_frame_count(timeline, cfg)
+    if n_frames is None:  # one trailing dwell past the last state change
+        n_frames = timeline[-1][0] + max(1, round(cfg.dwell_mean_s * cfg.fps))
+    # per segment: what a detector blind to mistakes reports, or None
+    blind = [_nearest_correct(state) if is_error_state(state) else None for _, state in timeline]
+    draw = rng.random
     segment = 0
     for f in range(n_frames):
         while segment + 1 < len(timeline) and timeline[segment + 1][0] <= f:
             segment += 1
-        state = timeline[segment][1]
         detections: tuple[Detection, ...] = ()
-        if rng.random() < cfg.detect_prob:
-            detected = state
-            if is_error_state(state) and rng.random() < cfg.error_fp_rate:
-                detected = _nearest_correct(detected)
-            elif rng.random() < cfg.misclass_prob:
+        if draw() < cfg.detect_prob:
+            detected = timeline[segment][1]
+            if blind[segment] is not None and draw() < cfg.error_fp_rate:
+                detected = blind[segment]
+            elif draw() < cfg.misclass_prob:
                 detected = _hamming_neighbor(detected, rng)
             confidence = cfg.conf_mean + rng.uniform(-cfg.conf_spread, cfg.conf_spread)
             confidence = min(1.0, max(0.0, confidence))
             detections = (Detection(detected, confidence),)
-        yield DetectionFrame(frame=f, time_s=f / cfg.fps, detections=detections)
+        yield DetectionFrame(f, f / cfg.fps, detections)
 
 
 def render_stream(
@@ -385,5 +388,4 @@ def simulate(
     sequence, timeline = sample_execution(
         spec, injection, cfg, rng=rng, recording_id=recording_id
     )
-    stream = render_stream(timeline, cfg, rng=rng)
-    return Scenario(sequence, timeline, tuple(stream))
+    return Scenario(sequence, timeline, tuple(render_stream(timeline, cfg, rng=rng)))

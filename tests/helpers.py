@@ -19,6 +19,7 @@ from psrkit.model import (
     apply_transition,
     expected_states,
     parse_state_text,
+    serialize_state,
     transition_to,
 )
 
@@ -324,6 +325,25 @@ def reference_read_stream(path, spec: ProcedureSpec | None = None):
     if manifest is None:
         raise FormatError("file is empty, expected a manifest line", path, 1)
     return manifest, frames
+
+
+def reference_write_stream(path, manifest, frames) -> None:
+    """A detection-stream file written the plain way: one json.dumps per row.
+
+    The stream writer before it formatted common rows itself; it must
+    write the same bytes for the same frames.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(manifest.to_json() + "\n")
+        for frame in frames:
+            detections = []
+            for det in frame.detections:
+                record: dict = {"state": serialize_state(det.state), "conf": det.confidence}
+                if det.box is not None:
+                    record["box"] = list(det.box)
+                detections.append(record)
+            row = {"frame": frame.frame, "detections": detections}
+            handle.write(json.dumps(row, separators=(",", ":")) + "\n")
 
 
 def oracle_expected_states(spec: ProcedureSpec) -> frozenset[AssemblyState]:

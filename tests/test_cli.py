@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
 
-from helpers import independent_spec, linear_spec, sequence
+from helpers import independent_spec, linear_spec, maintenance_spec, sequence
 from psrkit.baselines import Detection, DetectionFrame
 from psrkit.cli import main
 from psrkit.formats import (
@@ -27,6 +30,7 @@ from psrkit.model import (
 from psrkit.simulate import ErrorInjection, SimConfig, iter_stream, sample_execution, simulate
 
 CAR = "industreal_car_assembly"
+NOISY = {"misclass_prob": 0.4, "error_fp_rate": 0.3}
 
 
 def make_scenario_files(tmp_path, seed=5, injection=ErrorInjection(), noiseless=True, rid=None):
@@ -356,9 +360,6 @@ class TestSimulateCommand:
 
     @pytest.mark.parametrize("shape", ["base_plus_39_parts", "twenty_chains"])
     def test_forty_component_procedures(self, tmp_path, shape):
-        import subprocess
-        import sys
-
         if shape == "base_plus_39_parts":
             actions = [ProceduralAction("base", 0, Transition.INSTALL)] + [
                 ProceduralAction(f"part{c}", c, Transition.INSTALL, frozenset({"base"}))
@@ -393,6 +394,100 @@ class TestSimulateCommand:
             for action_id in gt.action_ids():
                 assert spec.action_by_id(action_id).prerequisites <= done
                 done.add(action_id)
+
+    def test_two_hundred_component_procedure(self, tmp_path):
+        # a base plus 199 parts has 199! orders, too many for a float
+        actions = [ProceduralAction("base", 0, Transition.INSTALL)] + [
+            ProceduralAction(f"part{c}", c, Transition.INSTALL, frozenset({"base"}))
+            for c in range(1, 200)
+        ]
+        spec = ProcedureSpec(
+            "wide", tuple(f"part {c}" for c in range(200)), tuple(actions),
+            AssemblyState.from_values([0] * 200),
+        )
+        spec_path = tmp_path / "wide.procedure.json"
+        write_procedure(spec_path, spec)
+        config = tmp_path / "cfg.json"
+        config.write_text('{"fps": 1.0, "dwell_mean_s": 1.0, "detect_prob": 0.0}')
+        out = tmp_path / "sim"
+        # a subprocess, so the memory of counting orders is returned
+        result = subprocess.run(
+            [sys.executable, "-m", "psrkit.cli", "simulate", "--spec", str(spec_path),
+             "--seed", "1", "--config", str(config), "--out-dir", str(out),
+             "--recording-id", "wide"],
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        _, gt = read_ground_truth(out / "wide.gt.jsonl", spec)
+        assert sorted(gt.action_ids()) == sorted(a.action_id for a in actions)
+        assert gt.action_ids()[0] == "base"
+
+    @pytest.mark.parametrize(
+        "spec_name, options",
+        [
+            (CAR, {}),
+            ("industreal_car_maintenance", {}),
+            ("wide", {}),
+            (CAR, {"noiseless": True}),
+            ("wide", {"noiseless": True}),
+            (CAR, {"config": NOISY}),
+            ("industreal_car_maintenance", {"config": NOISY}),
+            ("wide", {"config": NOISY}),
+            (CAR, {"omit": ["install_front_bracket"], "incorrect": ["install_rear_chassis"],
+                   "swap": [0, 3]}),
+            ("industreal_car_maintenance", {"config": NOISY, "swap": [1],
+             "incorrect": ["install_short_rear_chassis"], "omit": ["refit_rear_wheel_assy"]}),
+            ("wide", {"config": NOISY, "omit": ["remove_service0"],
+             "incorrect": ["install_part3", "refit_service1"], "swap": [2]}),
+        ],
+    )
+    def test_streamed_files_equal_in_memory_files(self, tmp_path, spec_name, options):
+        if spec_name == "wide":
+            spec = maintenance_spec()
+            spec_name = str(tmp_path / "wide.procedure.json")
+            write_procedure(spec_name, spec)
+        else:
+            spec = load_builtin_procedure(spec_name)
+        argv = ["simulate", "--spec", spec_name, "--seed", "7", "--out-dir", str(tmp_path / "cli")]
+        cfg = SimConfig.noiseless(seed=7) if options.get("noiseless") else SimConfig(seed=7)
+        if options.get("noiseless"):
+            argv.append("--noiseless")
+        if "config" in options:
+            config = tmp_path / "cfg.json"
+            config.write_text(json.dumps(options["config"]))
+            argv += ["--config", str(config)]
+            cfg = dataclasses.replace(cfg, **options["config"])
+        for flag in ("omit", "incorrect", "swap"):
+            for value in options.get(flag, ()):
+                argv += [f"--{flag}", str(value)]
+        injection = ErrorInjection(
+            frozenset(options.get("omit", ())),
+            frozenset(options.get("incorrect", ())),
+            tuple(options.get("swap", ())),
+        )
+        assert main(argv) == 0
+        paths = write_scenario(
+            tmp_path / "memory", simulate(spec, injection, cfg), spec, cfg, injection
+        )
+        for path in paths.values():
+            assert (tmp_path / "cli" / path.name).read_bytes() == path.read_bytes()
+
+    def test_simulate_memory_does_not_grow_with_the_stream(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text('{"dwell_mean_s": 909.0, "dwell_jitter_s": 40.0}')
+        out = tmp_path / "sim"
+        argv = ["simulate", "--spec", CAR, "--seed", "3", "--config", str(config),
+                "--out-dir", str(out), "--recording-id", "long"]
+        tracemalloc.start()
+        try:
+            rc = main(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        with open(out / "long.stream.jsonl", "rb") as handle:
+            assert sum(1 for _ in handle) > 100_000
+        assert peak < 2 * 1024 * 1024, f"peak {peak / 1e6:.2f} MB"
 
     def test_long_chain_does_not_recurse(self, tmp_path):
         # 1,100 actions in one prerequisite chain: deeper than the default

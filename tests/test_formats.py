@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import linear_spec, reference_read_stream
+from helpers import linear_spec, reference_read_stream, reference_write_stream
 from psrkit.baselines import BaselineConfig, Detection, DetectionFrame, Variant, run_baseline
 from psrkit.formats import (
     BUILTIN_PROCEDURES,
@@ -80,6 +80,41 @@ class TestStreamRoundTrip:
         write_stream(path, stream_manifest(), frames)
         _, back = read_stream(path)
         assert back == frames
+
+
+    @given(
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from([int, float, bool]),
+                st.lists(
+                    st.tuples(
+                        st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=5),
+                        st.one_of(
+                            st.floats(min_value=0.0, max_value=1.0),
+                            st.sampled_from([0.0, 1.0, 1, True]),
+                        ),
+                        st.none() | st.tuples(*[st.floats(allow_nan=False)] * 4),
+                    ),
+                    max_size=3,
+                ),
+            ),
+            max_size=12,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_same_bytes_as_reference_writer(self, tmp_path_factory, rows):
+        frames = [
+            DetectionFrame(
+                index_type(index % 2 if index_type is bool else index),
+                index / FPS,
+                tuple(Detection(AssemblyState.from_values(v), c, b) for v, c, b in detections),
+            )
+            for index, (index_type, detections) in enumerate(rows)
+        ]
+        directory = tmp_path_factory.mktemp("writers")
+        write_stream(directory / "new.jsonl", stream_manifest(), iter(frames))
+        reference_write_stream(directory / "old.jsonl", stream_manifest(), frames)
+        assert (directory / "new.jsonl").read_bytes() == (directory / "old.jsonl").read_bytes()
 
 
 def write_lines(path, lines):
