@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 from functools import partial
@@ -158,15 +159,25 @@ def _parse_manifest(obj, expected_kind: str | None, path, line=1) -> FileManifes
 # to json.loads on every line where those checks could matter
 _raw_decode = json.JSONDecoder().raw_decode
 
+# write_stream's two row shapes; int() and float() of the groups give what
+# json.loads gives. 18 frame digits stay under int()'s digit limit, and an
+# integer conf is left to the full parse, which hands it to _as_number
+_STREAM_ROW = re.compile(
+    rb'\{"frame":(0|[1-9][0-9]{0,17}),"detections":\[(?:\{"state":"([-0-9,]*)","conf":'
+    rb'(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))\})?\]\}\n?'
+)
 
-def _iter_jsonl(path):
+
+def _iter_jsonl(path, stream=False):
     """Yield (line_number, parsed object) for each non-blank line.
 
     The file is read one line at a time and closed when the generator
     ends or is closed. Lines are numbered as str.splitlines() numbers
     the whole text; a UTF-8 error names the newline-delimited line that
     holds the bad byte. A line is parsed exactly as json.loads parses
-    it, and an invalid one raises json.loads's message.
+    it, and an invalid one raises json.loads's message. In a ``stream``,
+    a line after the manifest that _STREAM_ROW matches is not decoded:
+    its match groups, (frame, state, conf) bytes, stand for the object.
     """
     try:
         handle = open(path, "rb")
@@ -174,7 +185,13 @@ def _iter_jsonl(path):
         raise FormatError(f"cannot read file: {exc.strerror or exc}", path) from None
     with handle:
         number = 0
+        fast = None  # the manifest line always takes the full parse
         for physical, raw_bytes in enumerate(handle, start=1):
+            match = fast and fast(raw_bytes)
+            if match:
+                number += 1
+                yield number, match.groups()
+                continue
             try:
                 text = raw_bytes.decode("utf-8")
             except UnicodeDecodeError as exc:
@@ -188,20 +205,24 @@ def _iter_jsonl(path):
                     continue
                 try:
                     obj, end = _raw_decode(raw)
-                except json.JSONDecodeError:
+                except (ValueError, RecursionError):
                     end = -1
                 if end != len(raw):
                     # surrounding whitespace, a BOM, extra data or invalid
                     # JSON: json.loads gives the same object or the message
                     try:
                         obj = json.loads(raw)
-                    except json.JSONDecodeError as exc:
-                        raise FormatError(f"invalid JSON: {exc.msg}", path, number) from None
+                    except (ValueError, RecursionError) as exc:
+                        # too deep a nesting or too long an integer has no .msg
+                        message = getattr(exc, "msg", exc)
+                        raise FormatError(f"invalid JSON: {message}", path, number) from None
                 yield number, obj
+                if stream:
+                    fast = _STREAM_ROW.fullmatch
 
 
 def _read_jsonl(path, expected_kind):
-    rows = _iter_jsonl(path)
+    rows = _iter_jsonl(path, expected_kind == "stream")
     try:
         _, first = next(rows)
         manifest = _parse_manifest(first, expected_kind, path)
@@ -213,19 +234,21 @@ def _read_jsonl(path, expected_kind):
     return manifest, rows
 
 
-def _state_rows(path, rows, spec: ProcedureSpec | None, strict: bool, record):
+def _state_rows(path, rows, spec: ProcedureSpec | None, fps: float | None, record):
     """Yield record(line, frame, obj, state_of) for each record of a stream or step file.
 
     This is the one row loop of both line-oriented kinds; ``record``
     turns a checked row into what the kind yields. Every record must be
     an object whose 'frame' is a non-negative integer, strictly
-    increasing in a stream (``strict``) and non-decreasing in a step
-    file. ``state_of(text, line)`` parses a 'state' value through one
-    memo per file, so each distinct string is parsed and width-checked
-    once. The width is the procedure's when one is given, otherwise the
-    first state's.
+    increasing in a stream (given its ``fps``) and non-decreasing in a
+    step file. ``state_of(text, line)`` parses a 'state' value through
+    one memo per file, so each distinct string is parsed and
+    width-checked once. The width is the procedure's when one is given,
+    otherwise the first state's. A stream row that _iter_jsonl did not
+    decode becomes its DetectionFrame here, with the same checks.
     """
     states: dict[str, AssemblyState] = {}
+    fast_states: dict[bytes, AssemblyState] = {}
     width = spec.n_components if spec is not None else None
 
     def state_of(text, line) -> AssemblyState:
@@ -253,22 +276,40 @@ def _state_rows(path, rows, spec: ProcedureSpec | None, strict: bool, record):
         states[text] = state
         return state
 
-    noun = "frame" if strict else "state"
+    noun = "frame" if fps else "state"
     last_frame = -1
     for line, obj in rows:
-        if not isinstance(obj, dict):
+        fast = obj.__class__ is tuple  # a row in write_stream's shape, see _iter_jsonl
+        if fast:
+            frame, text, conf = obj
+            frame = int(frame)
+        elif not isinstance(obj, dict):
             raise FormatError(f"{noun} record must be a JSON object", path, line)
-        frame = obj.get("frame")
-        if frame.__class__ is not int:  # so a bool goes on to _as_int, which rejects it
-            frame = _as_int(frame, "'frame'", path, line)
+        else:
+            frame = obj.get("frame")
+            if frame.__class__ is not int:  # so a bool goes on to _as_int, which rejects it
+                frame = _as_int(frame, "'frame'", path, line)
         if frame < 0:
             raise FormatError(f"frame index must be non-negative, got {frame}", path, line)
-        if frame <= last_frame and (strict or frame < last_frame):
+        if frame <= last_frame and (fps or frame < last_frame):
             raise FormatError(
                 f"frame {frame} out of order (previous was {last_frame})", path, line
             )
         last_frame = frame
-        yield record(line, frame, obj, state_of)
+        if not fast:
+            yield record(line, frame, obj, state_of)
+        elif text is None:
+            yield DetectionFrame(frame, frame / fps, ())
+        else:
+            state = fast_states.get(text)
+            if state is None:
+                state = fast_states[text] = state_of(text.decode("ascii"), line)
+            try:
+                detection = Detection(state, float(conf))
+            except ValueError as exc:
+                _as_number(float(conf), "'conf'", path, line)  # names NaN and inf
+                raise FormatError(str(exc), path, line) from None
+            yield DetectionFrame(frame, frame / fps, (detection,))
 
 
 # ---------------------------------------------------------------------------
@@ -288,7 +329,7 @@ def iter_stream_file(
     """
     manifest, rows = _read_jsonl(path, "stream")
     record = partial(_frame_record, path, manifest.fps)
-    return manifest, _state_rows(path, rows, spec, True, record)
+    return manifest, _state_rows(path, rows, spec, manifest.fps, record)
 
 
 def _frame_record(path, fps: float, line, frame, obj, state_of) -> DetectionFrame:
@@ -302,8 +343,8 @@ def _frame_record(path, fps: float, line, frame, obj, state_of) -> DetectionFram
             raise FormatError("detection must be a JSON object", path, line)
         state = state_of(raw.get("state"), line)
         confidence = raw.get("conf")
-        if confidence.__class__ is not float:
-            confidence = _as_number(confidence, "'conf'", path, line)
+        if confidence.__class__ is not float or not 0.0 <= confidence <= 1.0:
+            confidence = _as_number(confidence, "'conf'", path, line)  # names NaN and inf
         box = raw.get("box")
         if box is not None:
             if not isinstance(box, list) or len(box) != 4:
@@ -369,7 +410,7 @@ def _step_record(path, line, frame, obj, state_of):
 
 def _step_rows(path, rows, spec: ProcedureSpec | None):
     """Yield (line, frame, state, confidence) for each row of a step file."""
-    return _state_rows(path, rows, spec, False, partial(_step_record, path))
+    return _state_rows(path, rows, spec, None, partial(_step_record, path))
 
 
 def read_ground_truth(
@@ -480,14 +521,18 @@ def write_ground_truth(
 def _read_json_document(path, expected_kind: str | None) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
-            try:
-                document = json.load(handle)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON: {exc.msg}", path, exc.lineno) from None
+            text = handle.read()
     except UnicodeDecodeError as exc:
         raise FormatError(f"file is not valid UTF-8: {exc.reason}", path) from None
     except OSError as exc:
         raise FormatError(f"cannot read file: {exc.strerror or exc}", path) from None
+    try:
+        document = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"invalid JSON: {exc.msg}", path, exc.lineno) from None
+    except (ValueError, RecursionError) as exc:
+        # too deep a nesting or too long an integer: the decoder gives no position
+        raise FormatError(f"invalid JSON: {exc}", path, 1) from None
     if not isinstance(document, dict):
         raise FormatError("document root must be a JSON object", path)
     if expected_kind is not None:
@@ -496,6 +541,12 @@ def _read_json_document(path, expected_kind: str | None) -> dict:
         if kind != expected_kind:
             raise FormatError(f"expected a {expected_kind} document, found '{kind}'", path)
     return document
+
+
+def _write_json_document(path, document: dict) -> None:
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        json.dump(document, handle, indent=2)
+        handle.write("\n")
 
 
 def _procedure_from_document(document: dict, path) -> ProcedureSpec:
@@ -585,9 +636,7 @@ def write_procedure(path, spec: ProcedureSpec) -> None:
             for a in spec.actions
         ],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
+    _write_json_document(path, document)
 
 
 def load_builtin_procedure(name: str) -> ProcedureSpec:
@@ -656,23 +705,17 @@ def write_report(path, reports, fmt: str = "json") -> None:
                 else None,
             },
         }
-        with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
+        _write_json_document(path, document)
     elif fmt == "csv":
         with open(path, "w", encoding="utf-8", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(REPORT_COLUMNS)
-            for report in reports + [all_aggregate]:
-                row = report_to_row(report)
-                writer.writerow([_csv_cell(row[c]) for c in REPORT_COLUMNS])
-            if errors_aggregate is not None:
-                row = report_to_row(errors_aggregate)
-                writer.writerow([_csv_cell(row[c]) for c in REPORT_COLUMNS])
-            else:
-                writer.writerow(
-                    [Subset.ERRORS_ONLY.value] + [""] * (len(REPORT_COLUMNS) - 1)
-                )
+            for report in [*reports, all_aggregate, errors_aggregate]:
+                if report is None:  # no recording has errors: a bare marker row
+                    row = {"recording_id": Subset.ERRORS_ONLY.value}
+                else:
+                    row = report_to_row(report)
+                writer.writerow([_csv_cell(row.get(c)) for c in REPORT_COLUMNS])
     else:
         raise ValueError(f"unknown report format '{fmt}' (expected json or csv)")
 
@@ -720,9 +763,7 @@ def write_scenario(
             "swaps": list(injection.swaps),
         },
     }
-    with open(doc_path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(document, handle, indent=2)
-        handle.write("\n")
+    _write_json_document(doc_path, document)
     return {"stream": stream_path, "ground_truth": gt_path, "scenario": doc_path}
 
 

@@ -170,14 +170,6 @@ class ProcedureSpec:
             return action.action_id
         return f"c{component}:{transition.value}"
 
-    def topological_order(self) -> tuple[ProceduralAction, ...]:
-        """Actions in a prerequisite-respecting order (stable Kahn)."""
-        order = _kahn_order({a.action_id: set(a.prerequisites) for a in self.actions})
-        if order is None:
-            raise ValueError(f"cyclic prerequisites in procedure '{self.id}'")
-        by_id = self._by_id
-        return tuple(by_id[aid] for aid in order)
-
 
 @dataclass(frozen=True)
 class StepEvent:

@@ -131,14 +131,6 @@ class Scenario:
         if {e.frame for e in self.ground_truth.events} - set(starts):
             raise ValueError("every ground-truth event must start a timeline segment")
 
-    def state_at(self, frame: int) -> AssemblyState:
-        state = self.timeline[0][1]
-        for start, segment_state in self.timeline:
-            if start > frame:
-                break
-            state = segment_state
-        return state
-
 
 def _validate_injection(spec: ProcedureSpec, injection: ErrorInjection) -> None:
     known = {a.action_id for a in spec.actions}

@@ -346,6 +346,16 @@ def reference_write_stream(path, manifest, frames) -> None:
             handle.write(json.dumps(row, separators=(",", ":")) + "\n")
 
 
+def state_at(scenario, frame: int) -> AssemblyState:
+    """The true assembly state of a simulated scenario at one frame."""
+    state = scenario.timeline[0][1]
+    for start, segment_state in scenario.timeline:
+        if start > frame:
+            break
+        state = segment_state
+    return state
+
+
 def oracle_expected_states(spec: ProcedureSpec) -> frozenset[AssemblyState]:
     """Reachable states by walking every valid order (independent oracle)."""
     states = {spec.initial_state}

@@ -118,6 +118,70 @@ class TestValidate:
         assert "seed must be finite, got nan" in capsys.readouterr().err
 
 
+NESTED = "[" * 100_000 + "]" * 100_000
+LONG_INT = "1" * 5_000
+UNDECODABLE = {  # value -> json's message for it
+    NESTED: "maximum recursion depth exceeded while decoding a JSON array",
+    LONG_INT: "Exceeds the limit (4300 digits) for integer string conversion",
+}
+
+
+class TestUndecodableJson:
+    """Too deep a nesting or too long an integer is invalid JSON at its line: exit 1."""
+
+    def assert_located(self, capsys, commands, location, value):
+        for argv in commands:
+            assert main(argv) == 1, argv[0]
+            err = capsys.readouterr().err
+            assert f"{location}: invalid JSON: {UNDECODABLE[value]}" in err, argv[0]
+
+    @pytest.mark.parametrize("value", UNDECODABLE, ids=["nested", "long-int"])
+    @pytest.mark.parametrize("field", ["frame", "conf"])
+    def test_stream_line(self, tmp_path, capsys, value, field):
+        fields = {"frame": "1", "conf": "0.5", field: value}
+        path = tmp_path / "bad.stream.jsonl"
+        path.write_text(
+            FileManifest(kind="stream", recording_id="r", fps=10.0).to_json() + "\n"
+            + '{"frame":0,"detections":[]}\n'
+            + '{"frame":%(frame)s,"detections":[{"state":"0,0,0","conf":%(conf)s}]}\n' % fields,
+            encoding="utf-8",
+        )
+        commands = [
+            ["run", "--baseline", "b1", "--spec", CAR, "--stream", str(path),
+             "--out", str(tmp_path / "pred.jsonl")],
+            ["validate", str(path)],
+        ]
+        self.assert_located(capsys, commands, f"{path}:3", value)
+
+    @pytest.mark.parametrize("value", UNDECODABLE, ids=["nested", "long-int"])
+    def test_step_file_line(self, tmp_path, capsys, value):
+        _, _, paths = make_scenario_files(tmp_path)
+        path = paths["ground_truth"]
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[2] = '{"frame":%s,"state":"1,0,0,0,0,0,0,0,0,0,0"}' % value
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        commands = [
+            ["eval", "--spec", CAR, "--gt", str(path), "--pred", str(path)],
+            ["validate", str(path)],
+        ]
+        self.assert_located(capsys, commands, f"{path}:3", value)
+
+    @pytest.mark.parametrize("value", UNDECODABLE, ids=["nested", "long-int"])
+    def test_spec_document(self, tmp_path, capsys, value):
+        """The decoder gives no position here, so the document's first line is named."""
+        _, _, paths = make_scenario_files(tmp_path)
+        spec = tmp_path / "bad.json"
+        spec.write_text('{"format_version": "1.0.0",\n"id": %s}\n' % value, encoding="utf-8")
+        stream, gt = str(paths["stream"]), str(paths["ground_truth"])
+        commands = [
+            ["run", "--baseline", "b1", "--spec", str(spec), "--stream", stream,
+             "--out", str(tmp_path / "pred.jsonl")],
+            ["eval", "--spec", str(spec), "--gt", gt, "--pred", gt],
+            ["validate", "--spec", str(spec), stream],
+        ]
+        self.assert_located(capsys, commands, f"{spec}:1", value)
+
+
 class TestRun:
     def test_b1_noiseless_matches_ground_truth_file(self, tmp_path, capsys):
         spec, scenario, paths = make_scenario_files(tmp_path)

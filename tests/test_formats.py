@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 
@@ -7,10 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import linear_spec, reference_read_stream, reference_write_stream
+from helpers import linear_spec, maintenance_spec, reference_read_stream, reference_write_stream
 from psrkit.baselines import BaselineConfig, Detection, DetectionFrame, Variant, run_baseline
+from psrkit.cli import main
 from psrkit.formats import (
     BUILTIN_PROCEDURES,
+    _STREAM_ROW,
     FileManifest,
     FormatError,
     iter_stream_file,
@@ -397,6 +400,77 @@ class TestAgainstReferenceReader:
         assert self.read_rows(tmp_path, *rows) == expected
 
 
+# write_stream's row with one detection, and values near _STREAM_ROW's edge
+# for each of its parts: json.loads accepts some that the pattern does not
+# match (a leading "-0", exponents, escapes, other layouts) and rejects others
+WRITER_ROW = '{{"frame":{frame},"detections":[{{"state":"{state}","conf":{conf}}}]}}'
+EDGES = {
+    "frame": ["0", "00", "01", "-0", "-1", "1.0", "1e1", "true",
+              "999999999999999999", "1000000000000000000"],  # 18 and 19 digits
+    "state": ["1,0,-1", "0,0", "", "0,,0", "0,0,2", "\\u0030,0,0", "0,0,\\u002d1"],
+    "conf": ["0", "1", "-0", "-0.0", "1.0", "0e0", "5E-1", "0.5e+0", "00.5", ".5",
+             "1e400", "-1e400", "1e-400", "1.0000000000000002", "NaN"],
+    "row": [
+        '{{"frame":{frame},"detections":[]}}',
+        '{{"detections":[{{"state":"{state}","conf":{conf}}}],"frame":{frame}}}',
+        '{{"frame":{frame},"detections":[{{"conf":{conf},"state":"{state}"}}]}}',
+        '{{"frame":0,"frame":{frame},"detections":[{{"state":"{state}","conf":{conf}}}]}}',
+        '{{"frame":{frame},"detections":[{{"state":"{state}","conf":{conf}}}]}} ',
+        '{{"frame":{frame},"detections":[{{"state":"{state}","conf":{conf},"box":[0,0,1,1]}}]}}',
+        '{{"frame":{frame},"detections":[{{"state":"{state}","conf":{conf}}},'
+        '{{"state":"0,0,0","conf":0.25}}]}}',
+    ],
+    "ending": ["\r\n", "\r"],
+}
+
+
+@st.composite
+def edge_rows(draw, frame: int) -> str:
+    """A writer row with at most two of its parts moved to the edge, and its line ending."""
+    parts = {"frame": str(frame), "state": "0,0,0", "conf": "0.5", "row": WRITER_ROW,
+             "ending": "\n"}
+    for key in draw(st.lists(st.sampled_from(sorted(EDGES)), max_size=2)):
+        parts[key] = draw(st.sampled_from(EDGES[key]))
+    return parts["row"].format(**parts) + parts["ending"]
+
+
+class TestWriterShapedRows:
+    """Rows in write_stream's shape skip the JSON decoder and read the same."""
+
+    @given(
+        data=st.data(),
+        count=st.integers(min_value=1, max_value=5),
+        manifest=st.sampled_from([MANIFEST_LINE + "\n"] * 5 + [""]),
+        final_newline=st.booleans(),
+        with_spec=st.booleans(),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_edge_rows_agree_with_reference(
+        self, tmp_path_factory, data, count, manifest, final_newline, with_spec
+    ):
+        text = manifest + "".join(data.draw(edge_rows(frame)) for frame in range(count))
+        if not final_newline:
+            text = text.rstrip("\r\n")
+        path = tmp_path_factory.mktemp("edges") / "s.jsonl"
+        path.write_bytes(text.encode())
+        TestAgainstReferenceReader.agree(path, linear_spec(3) if with_spec else None)
+
+    @pytest.mark.parametrize("spec_name", [*BUILTIN_PROCEDURES, "wide_maintenance"])
+    @pytest.mark.parametrize("noiseless", [True, False], ids=["noiseless", "noisy"])
+    def test_every_written_row_matches(self, tmp_path, spec_name, noiseless):
+        """A writer change that moves rows off the fast path fails here."""
+        if spec_name == "wide_maintenance":
+            spec_name = str(tmp_path / "wide.json")
+            write_procedure(spec_name, maintenance_spec())
+        argv = ["simulate", "--spec", spec_name, "--seed", "4", "--out-dir", str(tmp_path)]
+        assert main(argv + ["--noiseless"] * noiseless) == 0
+        (path,) = tmp_path.glob("*.stream.jsonl")
+        rows = path.read_bytes().splitlines(keepends=True)[1:]
+        assert rows and all(_STREAM_ROW.fullmatch(row) for row in rows)
+        # the noisy detector misses frames, so both row shapes are checked
+        assert any(b'"detections":[]' in row for row in rows) == (not noiseless)
+
+
 class TestGroundTruthFiles:
     def test_single_install_event(self, tmp_path):
         spec = linear_spec(11)
@@ -668,6 +742,31 @@ class TestScenarioFiles:
         document = json.loads(paths["scenario"].read_text(encoding="utf-8"))
         assert document["seed"] == 12
         assert document["injection"]["omit"] == ["install_front_bracket_screw"]
+
+
+class TestJsonDocumentBytes:
+    # sha256 of the files psrkit wrote before its JSON documents shared a writer
+    DIGESTS = {
+        "p.json": "d5b33d0ed52612804963a6ce5e466be2def0aa4ce40d0b2e30924619ff705acb",
+        "r.json": "9f2c204b29d1f791762a20123ce5ac0b580978b5e261ffea593d1d6777b66e49",
+        "r.csv": "409a59cbf0e59fca0b6554acf65be9a7d9f62f742eafcd987981c4528f285a60",
+        "r0.csv": "21af78706825cdb8332180889fbc0c10e78da811176b19689837c0064ee7872d",
+        "industreal_car_assembly-seed12.scenario.json":
+            "da56f9e0a42b01a6870f2090a363de17a613594c1783a966d4fa9fbf19877c08",
+    }
+
+    def test_same_bytes_as_before(self, tmp_path, car_spec):
+        write_procedure(tmp_path / "p.json", car_spec)
+        reports = [report("a"), report("b", tau=None, has_errors=True)]
+        write_report(tmp_path / "r.json", reports)
+        write_report(tmp_path / "r.csv", reports, fmt="csv")
+        write_report(tmp_path / "r0.csv", reports[:1], fmt="csv")
+        cfg = SimConfig(seed=12)
+        injection = ErrorInjection(omit=frozenset({"install_front_bracket_screw"}))
+        write_scenario(tmp_path, simulate(car_spec, injection, cfg), car_spec, cfg, injection)
+        assert read_procedure(tmp_path / "p.json") == car_spec
+        for name, digest in self.DIGESTS.items():
+            assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 class TestValidateFile:

@@ -14,6 +14,7 @@ from helpers import (
     maintenance_spec,
     random_install_procedure,
     reference_sample_order,
+    state_at,
 )
 from psrkit.model import (
     AssemblyState,
@@ -209,7 +210,7 @@ class TestRenderStream:
             assert len(detection_frame.detections) == 1
             detection = detection_frame.detections[0]
             assert detection.confidence == 1.0
-            assert detection.state == scenario.state_at(detection_frame.frame)
+            assert detection.state == state_at(scenario, detection_frame.frame)
 
     def test_detect_prob_zero_gives_empty_frames(self):
         spec = linear_spec(3)
@@ -222,7 +223,7 @@ class TestRenderStream:
         scenario = simulate(car_spec, cfg=cfg)
         for detection_frame in scenario.stream:
             detected = detection_frame.detections[0].state
-            truth = scenario.state_at(detection_frame.frame)
+            truth = state_at(scenario, detection_frame.frame)
             distance = sum(a != b for a, b in zip(detected.statuses, truth.statuses))
             assert distance == 1
 
@@ -235,9 +236,9 @@ class TestRenderStream:
         for detection_frame in scenario.stream:
             detected = detection_frame.detections[0].state
             assert not is_error_state(detected)
-            if is_error_state(scenario.state_at(detection_frame.frame)):
+            if is_error_state(state_at(scenario, detection_frame.frame)):
                 # the wrongly installed part reads as installed
-                truth = scenario.state_at(detection_frame.frame)
+                truth = state_at(scenario, detection_frame.frame)
                 for got, actual in zip(detected.statuses, truth.statuses):
                     if actual is ComponentStatus.INCORRECT:
                         assert got is ComponentStatus.INSTALLED
