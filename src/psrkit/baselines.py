@@ -131,18 +131,6 @@ class BaselineConfig:
             raise ValueError("decay must be in (0, 1]")
 
 
-def select_top_detection(frame: DetectionFrame) -> tuple[AssemblyState, float] | None:
-    """Highest-confidence detection of a frame; ties keep the first listed."""
-    detections = frame.detections
-    if not detections:
-        return None
-    if len(detections) == 1:
-        best = detections[0]
-    else:
-        best = max(detections, key=lambda d: d.confidence)
-    return best.state, best.confidence
-
-
 class StepRecognizer:
     """Single-recording online recognizer; feed frames in order via process().
 
@@ -161,25 +149,30 @@ class StepRecognizer:
         spec.ensure_valid()
         self.config = config
         self.spec = spec
-        self._confs = [0.0] * spec.n_components
+        # read on every frame, so looked up once
+        self._width = spec.n_components
+        self._b1 = config.variant is Variant.B1
+        self._decay = config.decay
+        self._confs = [0.0] * self._width
         self._events: list[StepEvent] = []
         self._emitted_ids: set[str] = set()
         self._last_frame = -1
+        # the belief holds the detections' own status members, so an
+        # agreeing frame's comparison is mostly identity checks
+        self._belief: tuple[int, ...] | None = None
+        # guard verdict per candidate state, so a persistently rejected
+        # candidate costs one is_reachable call in total
+        self._reachable: dict[tuple[int, ...], bool] | None = None
         if config.variant is Variant.B3:
-            self._current: list[int] | None = list(spec.initial_state.as_ints())
-            # guard verdict per candidate state, so a persistently
-            # rejected candidate costs one is_reachable call in total
-            self._reachable: dict[tuple[int, ...], bool] | None = {}
-        else:
-            self._current = None
-            self._reachable = None
+            self._belief = spec.initial_state.statuses
+            self._reachable = {}
 
     @property
     def current_state(self) -> AssemblyState | None:
         """The recognizer's belief, None while B1/B2 await a detection."""
-        if self._current is None:
+        if self._belief is None:
             return None
-        return AssemblyState.from_values(self._current)
+        return AssemblyState.from_values(self._belief)
 
     @property
     def confidences(self) -> tuple[float, ...]:
@@ -197,70 +190,76 @@ class StepRecognizer:
                 f"got {frame.frame} after {self._last_frame}"
             )
         self._last_frame = frame.frame
-        top = select_top_detection(frame)
-        if top is None:
+        detections = frame.detections
+        if not detections:
             return []
-        state, confidence = top
-        if len(state) != self.spec.n_components:
+        # the top detection; max() keeps the first of equal confidences
+        if len(detections) == 1:
+            best = detections[0]
+        else:
+            best = max(detections, key=lambda d: d.confidence)
+        statuses = best.state.statuses
+        if statuses == self._belief:  # the common frame: every component agrees
+            if not self._b1:
+                decay = self._decay
+                self._confs = [c * decay for c in self._confs]
+            return []
+        if len(statuses) != self._width:
             raise ValueError(
-                f"detection has {len(state)} components, "
-                f"procedure '{self.spec.id}' has {self.spec.n_components}"
+                f"detection has {len(statuses)} components, "
+                f"procedure '{self.spec.id}' has {self._width}"
             )
-        if self._current is None:
-            self._current = [int(s) for s in state.statuses]
+        if self._belief is None:
+            self._belief = statuses
             return []
-        if self.config.variant is Variant.B1:
-            return self._process_b1(frame, state, confidence)
-        return self._process_accumulating(frame, state, confidence)
+        if self._b1:
+            return self._process_b1(frame, statuses, best.confidence)
+        return self._process_accumulating(frame, statuses, best.confidence)
 
     def _process_b1(
-        self, frame: DetectionFrame, state: AssemblyState, confidence: float
+        self, frame: DetectionFrame, statuses: tuple[int, ...], confidence: float
     ) -> list[StepEvent]:
         if confidence < self.config.detection_threshold:
             return []
-        current = self._current
-        if tuple(current) == state.statuses:
-            return []
+        belief = self._belief
         emitted: list[StepEvent] = []
-        for i, value in enumerate(state.statuses):
-            value = int(value)
-            if value == current[i]:
-                continue
-            event = self._emit(i, value, frame, confidence)
-            current[i] = value
-            if event is not None:
-                emitted.append(event)
+        for i, value in enumerate(statuses):
+            if value != belief[i]:
+                event = self._emit(i, value, frame, confidence)
+                if event is not None:
+                    emitted.append(event)
+        self._belief = statuses
         return emitted
 
     def _process_accumulating(
-        self, frame: DetectionFrame, state: AssemblyState, confidence: float
+        self, frame: DetectionFrame, statuses: tuple[int, ...], confidence: float
     ) -> list[StepEvent]:
-        current = self._current
+        belief = list(self._belief)
         confs = self._confs
         threshold = self.config.accumulation_threshold
-        decay = self.config.decay
+        decay = self._decay
         reachable = self._reachable
         emitted: list[StepEvent] = []
-        for i, value in enumerate(state.statuses):
-            value = int(value)
-            if value == current[i]:
+        for i, value in enumerate(statuses):
+            if value == belief[i]:
                 confs[i] *= decay
                 continue
             confs[i] += confidence
             if confs[i] <= threshold:
                 continue
             if reachable is not None:
-                candidate = (*current[:i], value, *current[i + 1 :])
+                candidate = (*belief[:i], value, *belief[i + 1 :])
                 ok = reachable.get(candidate)
                 if ok is None:
                     ok = reachable[candidate] = is_reachable(self.spec, candidate)
                 if not ok:
                     continue
             event = self._emit(i, value, frame, confs[i])
-            current[i] = value
+            belief[i] = value
             confs[i] = 0.0
             if event is not None:
                 emitted.append(event)
+        self._belief = tuple(belief)
         return emitted
 
     def _emit(

@@ -234,18 +234,19 @@ def _read_jsonl(path, expected_kind):
     return manifest, rows
 
 
-def _state_rows(path, rows, spec: ProcedureSpec | None, fps: float | None, record):
-    """Yield record(line, frame, obj, state_of) for each record of a stream or step file.
+def _state_rows(path, rows, spec: ProcedureSpec | None, manifest: FileManifest, record):
+    """Yield record(line, frame, time_s, obj, state_of) for each record of a stream or step file.
 
     This is the one row loop of both line-oriented kinds; ``record``
     turns a checked row into what the kind yields. Every record must be
     an object whose 'frame' is a non-negative integer, strictly
-    increasing in a stream (given its ``fps``) and non-decreasing in a
-    step file. ``state_of(text, line)`` parses a 'state' value through
-    one memo per file, so each distinct string is parsed and
-    width-checked once. The width is the procedure's when one is given,
-    otherwise the first state's. A stream row that _iter_jsonl did not
-    decode becomes its DetectionFrame here, with the same checks.
+    increasing in a stream and non-decreasing in a step file, and whose
+    time ``frame / fps`` is a finite float. ``state_of(text, line)``
+    parses a 'state' value through one memo per file, so each distinct
+    string is parsed and width-checked once. The width is the
+    procedure's when one is given, otherwise the first state's. A stream
+    row that _iter_jsonl did not decode becomes its DetectionFrame here,
+    with the same checks.
     """
     states: dict[str, AssemblyState] = {}
     fast_states: dict[bytes, AssemblyState] = {}
@@ -276,7 +277,9 @@ def _state_rows(path, rows, spec: ProcedureSpec | None, fps: float | None, recor
         states[text] = state
         return state
 
-    noun = "frame" if fps else "state"
+    stream = manifest.kind == "stream"
+    noun = "frame" if stream else "state"
+    fps, inf = manifest.fps, math.inf
     last_frame = -1
     for line, obj in rows:
         fast = obj.__class__ is tuple  # a row in write_stream's shape, see _iter_jsonl
@@ -291,15 +294,21 @@ def _state_rows(path, rows, spec: ProcedureSpec | None, fps: float | None, recor
                 frame = _as_int(frame, "'frame'", path, line)
         if frame < 0:
             raise FormatError(f"frame index must be non-negative, got {frame}", path, line)
-        if frame <= last_frame and (fps or frame < last_frame):
+        if frame <= last_frame and (stream or frame < last_frame):
             raise FormatError(
                 f"frame {frame} out of order (previous was {last_frame})", path, line
             )
         last_frame = frame
+        try:
+            time_s = frame / fps
+        except OverflowError:  # a frame index past the float range
+            time_s = inf
+        if time_s == inf:  # frame and fps are finite and non-negative, so never NaN
+            raise FormatError(f"frame / fps is not a finite time (fps {fps})", path, line)
         if not fast:
-            yield record(line, frame, obj, state_of)
+            yield record(line, frame, time_s, obj, state_of)
         elif text is None:
-            yield DetectionFrame(frame, frame / fps, ())
+            yield DetectionFrame(frame, time_s, ())
         else:
             state = fast_states.get(text)
             if state is None:
@@ -309,7 +318,7 @@ def _state_rows(path, rows, spec: ProcedureSpec | None, fps: float | None, recor
             except ValueError as exc:
                 _as_number(float(conf), "'conf'", path, line)  # names NaN and inf
                 raise FormatError(str(exc), path, line) from None
-            yield DetectionFrame(frame, frame / fps, (detection,))
+            yield DetectionFrame(frame, time_s, (detection,))
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +337,10 @@ def iter_stream_file(
     procedure, every state must have its component count.
     """
     manifest, rows = _read_jsonl(path, "stream")
-    record = partial(_frame_record, path, manifest.fps)
-    return manifest, _state_rows(path, rows, spec, manifest.fps, record)
+    return manifest, _state_rows(path, rows, spec, manifest, partial(_frame_record, path))
 
 
-def _frame_record(path, fps: float, line, frame, obj, state_of) -> DetectionFrame:
+def _frame_record(path, line, frame, time_s, obj, state_of) -> DetectionFrame:
     """The DetectionFrame of one stream row whose frame index is checked."""
     raw_detections = obj.get("detections", ())  # JSON has no tuples: () means absent
     if raw_detections.__class__ is not list and raw_detections != ():
@@ -354,7 +362,7 @@ def _frame_record(path, fps: float, line, frame, obj, state_of) -> DetectionFram
             detections.append(Detection(state, confidence, box))
         except ValueError as exc:
             raise FormatError(str(exc), path, line) from None
-    return DetectionFrame(frame, frame / fps, tuple(detections))
+    return DetectionFrame(frame, time_s, tuple(detections))
 
 
 def read_stream(path) -> tuple[FileManifest, list[DetectionFrame]]:
@@ -397,20 +405,20 @@ def write_stream(path, manifest: FileManifest, frames) -> None:
 # step sequences (ground truth and predictions share the format)
 
 
-def _step_record(path, line, frame, obj, state_of):
-    """(line, frame, state, confidence) for one row of a step file."""
+def _step_record(path, line, frame, time_s, obj, state_of):
+    """(line, frame, time_s, state, confidence) for one row of a step file."""
     state = state_of(obj.get("state"), line)
     confidence = 1.0
     if "conf" in obj:
         confidence = _as_number(obj["conf"], "'conf'", path, line)
         if confidence < 0:
             raise FormatError(f"'conf' must be >= 0, got {confidence}", path, line)
-    return line, frame, state, confidence
+    return line, frame, time_s, state, confidence
 
 
-def _step_rows(path, rows, spec: ProcedureSpec | None):
-    """Yield (line, frame, state, confidence) for each row of a step file."""
-    return _state_rows(path, rows, spec, None, partial(_step_record, path))
+def _step_rows(path, rows, spec: ProcedureSpec | None, manifest: FileManifest):
+    """Yield (line, frame, time_s, state, confidence) for each row of a step file."""
+    return _state_rows(path, rows, spec, manifest, partial(_step_record, path))
 
 
 def read_ground_truth(
@@ -427,7 +435,7 @@ def read_ground_truth(
     previous: AssemblyState | None = None
     events: list[StepEvent] = []
     seen: set[str] = set()
-    for line, frame, state, confidence in _step_rows(path, rows, spec):
+    for line, frame, time_s, state, confidence in _step_rows(path, rows, spec, manifest):
         if previous is None:
             previous = state
             continue
@@ -441,7 +449,7 @@ def read_ground_truth(
                     action_id=action_id,
                     component=component,
                     transition=transition,
-                    time_s=frame / manifest.fps,
+                    time_s=time_s,
                     frame=frame,
                     confidence=confidence,
                     source=source,
@@ -802,8 +810,8 @@ def validate_file(path, spec: ProcedureSpec | None = None) -> list[str]:
             if spec is not None:
                 read_ground_truth(path, spec)
             else:
-                _, rows = _read_jsonl(path, "ground_truth")
-                for _ in _step_rows(path, rows, None):
+                manifest, rows = _read_jsonl(path, "ground_truth")
+                for _ in _step_rows(path, rows, None, manifest):
                     pass
         elif kind == "procedure":
             read_procedure(path)

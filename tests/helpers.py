@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import random
 from itertools import permutations
 
@@ -174,9 +175,10 @@ def reference_sample_order(spec: ProcedureSpec, rng: random.Random) -> list[str]
 def reference_recognise(config: BaselineConfig, spec: ProcedureSpec, frames) -> list:
     """B1/B2/B3 straight from the README definitions, without caches.
 
-    Returns one (events completed, accumulators afterwards) pair per
-    frame. B3's guard is membership in the listed reachable states, so
-    only small procedures are practical.
+    Returns one (events completed, accumulators afterwards, belief
+    afterwards) triple per frame; the belief is a tuple of ints, or None
+    while B1/B2 await a detection. B3's guard is membership in the
+    listed reachable states, so only small procedures are practical.
     """
     b3 = config.variant is Variant.B3
     reachable = {s.as_ints() for s in expected_states(spec)} if b3 else set()
@@ -223,7 +225,7 @@ def reference_recognise(config: BaselineConfig, spec: ProcedureSpec, frames) -> 
                     StepEvent(action_id, component, transition, frame.time_s, frame.frame,
                               confidence, EventSource.RECOGNIZED)
                 )
-        out.append((events, tuple(confs)))
+        out.append((events, tuple(confs), None if belief is None else tuple(belief)))
     return out
 
 
@@ -232,7 +234,8 @@ def reference_read_stream(path, spec: ProcedureSpec | None = None):
 
     The stream reader before it was tuned for speed, in one loop:
     json.loads on every splitlines() line and every check in the same
-    order, so the first bad line raises the same located FormatError. A
+    order, so the first bad line raises the same located FormatError,
+    including a frame whose time frame / fps is not a finite float. A
     frame is (frame, time_s, detections), a detection (state,
     confidence, box).
     """
@@ -278,6 +281,14 @@ def reference_read_stream(path, spec: ProcedureSpec | None = None):
                         f"frame {frame} out of order (previous was {last_frame})", path, line
                     )
                 last_frame = frame
+                try:
+                    time_s = frame / manifest.fps
+                except OverflowError:
+                    time_s = math.inf
+                if not math.isfinite(time_s):
+                    raise FormatError(
+                        f"frame / fps is not a finite time (fps {manifest.fps})", path, line
+                    )
                 raw_detections = obj.get("detections", [])
                 if not isinstance(raw_detections, list):
                     raise FormatError("'detections' must be a list", path, line)
@@ -321,7 +332,7 @@ def reference_read_stream(path, spec: ProcedureSpec | None = None):
                             line,
                         )
                     detections.append((states[state_text], confidence, box))
-                frames.append((frame, frame / manifest.fps, tuple(detections)))
+                frames.append((frame, time_s, tuple(detections)))
     if manifest is None:
         raise FormatError("file is empty, expected a manifest line", path, 1)
     return manifest, frames

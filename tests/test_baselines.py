@@ -23,7 +23,6 @@ from psrkit.baselines import (
     StepRecognizer,
     Variant,
     run_baseline,
-    select_top_detection,
 )
 from psrkit.model import AssemblyState, Transition, expected_states, is_reachable
 from psrkit.simulate import ErrorInjection, SimConfig, simulate
@@ -51,18 +50,34 @@ def stream_of(per_frame, start: int = 0):
 
 
 class TestSelectTopDetection:
+    """process() acts on a frame's highest-confidence detection."""
+
+    @staticmethod
+    def first_belief(*detections: Detection) -> AssemblyState:
+        recognizer = StepRecognizer(BaselineConfig(Variant.B1), linear_spec(2))
+        assert recognizer.process(frame(0, *detections)) == []
+        return recognizer.current_state
+
     def test_argmax(self):
         s1, s2 = det([0, 0], 0.3), det([1, 0], 0.9)
-        state, conf = select_top_detection(frame(0, s1, s2))
-        assert (state, conf) == (s2.state, 0.9)
+        assert self.first_belief(s1, s2) == s2.state
+        recognizer = StepRecognizer(BaselineConfig(Variant.B1), linear_spec(2))
+        recognizer.process(frame(0, det([0, 0], 1.0)))
+        events = recognizer.process(frame(1, s1, s2))
+        assert [(e.action_id, e.confidence) for e in events] == [("a0", 0.9)]
 
     def test_empty(self):
-        assert select_top_detection(frame(0)) is None
+        for variant in Variant:
+            recognizer = StepRecognizer(BaselineConfig(variant), linear_spec(2))
+            before = recognizer.current_state
+            assert recognizer.process(frame(0)) == []
+            assert recognizer.current_state == before
+            assert recognizer.confidences == (0.0, 0.0)
 
     def test_tie_keeps_first(self):
         s1, s2 = det([0, 0], 0.5), det([1, 0], 0.5)
-        state, _ = select_top_detection(frame(0, s1, s2))
-        assert state == s1.state
+        assert self.first_belief(s1, s2) == s1.state
+        assert self.first_belief(s2, s1) == s2.state
 
     def test_confidence_range_enforced(self):
         with pytest.raises(ValueError, match="confidence"):
@@ -72,7 +87,11 @@ class TestSelectTopDetection:
 
     def test_single_detection(self):
         only = det([1, 0], 0.2)
-        assert select_top_detection(frame(0, only)) == (only.state, 0.2)
+        assert self.first_belief(only) == only.state
+        recognizer = StepRecognizer(BaselineConfig(Variant.B2), linear_spec(2))
+        recognizer.process(frame(0, det([0, 0], 1.0)))
+        assert recognizer.process(frame(1, only)) == []
+        assert recognizer.confidences == (0.2, 0.0)
 
 
 class TestFrameClasses:
@@ -280,11 +299,30 @@ class TestAgainstReference:
             variant, detection_threshold=threshold, accumulation_threshold=threshold, decay=decay
         )
         recognizer = StepRecognizer(config, spec)
-        for current, (events, confidences) in zip(
+        for current, (events, confidences, belief) in zip(
             frames, reference_recognise(config, spec, frames)
         ):
             assert recognizer.process(current) == events
             assert recognizer.confidences == confidences
+            assert recognizer.current_state == (
+                None if belief is None else AssemblyState.from_values(belief)
+            )
+
+    def test_long_agreeing_run_reaches_the_subnormal_floor(self):
+        # one conflicting frame, then enough agreeing frames for the decay to
+        # reach a subnormal x where 0.75 * x rounds back to x
+        spec = linear_spec(3)
+        config = BaselineConfig(Variant.B2)
+        agree = det([0, 0, 0], 0.9)
+        frames = stream_of([agree, det([1, 0, 0], 0.9)] + [agree] * 3000)
+        recognizer = StepRecognizer(config, spec)
+        for current, (events, confidences, _) in zip(
+            frames, reference_recognise(config, spec, frames)
+        ):
+            assert recognizer.process(current) == events
+            assert recognizer.confidences == confidences
+        floor = recognizer.confidences[0]
+        assert 0.0 < floor < 5e-323 and floor * config.decay == floor
 
 
 class TestB3:

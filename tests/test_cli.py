@@ -182,6 +182,60 @@ class TestUndecodableJson:
         self.assert_located(capsys, commands, f"{spec}:1", value)
 
 
+class TestNonFiniteFrameTime:
+    """A row whose time frame / fps overflows is rejected at its line: exit 1, never 2."""
+
+    HUGE = "9" * 400  # past the float range on its own
+    # (fps, frame): a frame past the float range, or a quotient that overflows
+    CASES = [(10.0, HUGE), (1e-300, str(10**9))]
+
+    def assert_located(self, capsys, commands, location):
+        for argv in commands:
+            assert main(argv) == 1, argv
+            err = capsys.readouterr().err
+            assert f"{location}: frame / fps is not a finite time" in err, argv
+
+    @pytest.mark.parametrize("fps, frame", CASES, ids=["long-frame", "tiny-fps"])
+    @pytest.mark.parametrize("row", [
+        '{"frame":%s,"detections":[{"state":"0,0,0,0,0,0,0,0,0,0,0","conf":0.5}]}',
+        '{"frame": %s, "detections": []}',
+    ], ids=["writer-row", "other-row"])
+    def test_stream_row(self, tmp_path, capsys, fps, frame, row):
+        path = tmp_path / "bad.stream.jsonl"
+        path.write_text(
+            FileManifest(kind="stream", recording_id="r", fps=fps).to_json() + "\n"
+            + '{"frame":0,"detections":[]}\n' + row % frame + "\n",
+            encoding="utf-8",
+        )
+        commands = [
+            ["run", "--baseline", "b2", "--spec", CAR, "--stream", str(path),
+             "--out", str(tmp_path / "pred.jsonl")],
+            ["validate", str(path)],
+            ["validate", "--spec", CAR, str(path)],
+        ]
+        self.assert_located(capsys, commands, f"{path}:3")
+
+    @pytest.mark.parametrize("fps, frame", CASES, ids=["long-frame", "tiny-fps"])
+    def test_step_row(self, tmp_path, capsys, fps, frame):
+        _, _, paths = make_scenario_files(tmp_path)
+        good = paths["ground_truth"]
+        path = tmp_path / "bad.gt.jsonl"
+        lines = good.read_text(encoding="utf-8").splitlines()
+        manifest = json.loads(lines[0])
+        manifest["fps"] = fps
+        lines[0] = json.dumps(manifest)
+        lines[1] = '{"frame":0,"state":"0,0,0,0,0,0,0,0,0,0,0"}'
+        lines[2] = '{"frame":%s,"state":"1,0,0,0,0,0,0,0,0,0,0"}' % frame
+        path.write_text("\n".join(lines[:3]) + "\n", encoding="utf-8")
+        commands = [
+            ["eval", "--spec", CAR, "--gt", str(path), "--pred", str(good)],
+            ["eval", "--spec", CAR, "--gt", str(good), "--pred", str(path)],
+            ["validate", str(path)],
+            ["validate", "--spec", CAR, str(path)],
+        ]
+        self.assert_located(capsys, commands, f"{path}:3")
+
+
 class TestRun:
     def test_b1_noiseless_matches_ground_truth_file(self, tmp_path, capsys):
         spec, scenario, paths = make_scenario_files(tmp_path)

@@ -393,8 +393,13 @@ class TestAgainstReferenceReader:
             ((ROW.replace("0.5", "true"),), ("'conf' must be a number", 2)),
             ((ROW.replace('"frame":0', '"frame":false'),), ("'frame' must be an integer", 2)),
             (('{"frame":0,"detections":null}',), ("'detections' must be a list", 2)),
+            (
+                (ROW.replace('"frame":0', '"frame":' + "9" * 400),),
+                ("frame / fps is not a finite time (fps 10.0)", 2),
+            ),
         ],
-        ids=["extra-data", "bom", "boolean-conf", "boolean-frame", "null-detections"],
+        ids=["extra-data", "bom", "boolean-conf", "boolean-frame", "null-detections",
+             "frame-time-overflow"],
     )
     def test_rejected_rows(self, tmp_path, rows, expected):
         assert self.read_rows(tmp_path, *rows) == expected
