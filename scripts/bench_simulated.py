@@ -24,6 +24,7 @@ from psrkit import (
 )
 from psrkit.cli import load_spec
 from psrkit.formats import write_report
+from psrkit.metrics import Subset, aggregate_reports
 
 
 def build_corpus(spec, n_recordings, n_errors, base_seed, noise):
@@ -75,13 +76,11 @@ def main() -> int:
             reports.append(evaluate_recording(scenario.ground_truth, predicted, spec))
         path = out_dir / f"bench_{variant.value}.csv"
         write_report(path, reports, fmt="csv")
-        mean_pos = sum(r.pos for r in reports) / len(reports)
-        mean_f1 = sum(r.f1 for r in reports) / len(reports)
-        taus = [r.tau_s for r in reports if r.tau_s is not None]
-        mean_tau = sum(taus) / len(taus) if taus else float("nan")
+        summary = aggregate_reports(reports, Subset.ALL)
+        tau_s = summary.tau_s if summary.tau_s is not None else float("nan")
         print(
-            f"{variant.value}: POS {mean_pos:.3f}  F1 {mean_f1:.3f}  "
-            f"delay {mean_tau:.2f}s  -> {path}"
+            f"{variant.value}: POS {summary.pos:.3f}  F1 {summary.f1:.3f}  "
+            f"delay {tau_s:.2f}s  -> {path}"
         )
     return 0
 

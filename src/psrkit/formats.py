@@ -18,7 +18,6 @@ import math
 import re
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass
-from functools import partial
 from importlib import resources
 from pathlib import Path
 
@@ -137,7 +136,7 @@ def _parse_manifest(obj, expected_kind: str | None, path, line=1) -> FileManifes
     if not isinstance(obj["recording_id"], str):
         raise FormatError("recording_id must be a string", path, line)
     fps = _as_number(obj["fps"], "fps", path, line)
-    if fps <= 0 or not math.isfinite(fps):
+    if fps <= 0:
         raise FormatError(f"fps must be positive and finite, got {fps}", path, line)
     source = None
     if "source" in obj:
@@ -154,11 +153,6 @@ def _parse_manifest(obj, expected_kind: str | None, path, line=1) -> FileManifes
     )
 
 
-# one decoder for every JSONL line: raw_decode skips the type, BOM and
-# whitespace checks json.loads makes on each call; _iter_jsonl falls back
-# to json.loads on every line where those checks could matter
-_raw_decode = json.JSONDecoder().raw_decode
-
 # write_stream's two row shapes; int() and float() of the groups give what
 # json.loads gives. 18 frame digits stay under int()'s digit limit, and an
 # integer conf is left to the full parse, which hands it to _as_number
@@ -174,10 +168,10 @@ def _iter_jsonl(path, stream=False):
     The file is read one line at a time and closed when the generator
     ends or is closed. Lines are numbered as str.splitlines() numbers
     the whole text; a UTF-8 error names the newline-delimited line that
-    holds the bad byte. A line is parsed exactly as json.loads parses
-    it, and an invalid one raises json.loads's message. In a ``stream``,
-    a line after the manifest that _STREAM_ROW matches is not decoded:
-    its match groups, (frame, state, conf) bytes, stand for the object.
+    holds the bad byte. A line is parsed by json.loads, and an invalid
+    one raises json.loads's message. In a ``stream``, a line after the
+    manifest that _STREAM_ROW matches is not decoded: its match groups,
+    (frame, state, conf) bytes, stand for the object.
     """
     try:
         handle = open(path, "rb")
@@ -204,18 +198,11 @@ def _iter_jsonl(path, stream=False):
                 if not raw.strip():
                     continue
                 try:
-                    obj, end = _raw_decode(raw)
-                except (ValueError, RecursionError):
-                    end = -1
-                if end != len(raw):
-                    # surrounding whitespace, a BOM, extra data or invalid
-                    # JSON: json.loads gives the same object or the message
-                    try:
-                        obj = json.loads(raw)
-                    except (ValueError, RecursionError) as exc:
-                        # too deep a nesting or too long an integer has no .msg
-                        message = getattr(exc, "msg", exc)
-                        raise FormatError(f"invalid JSON: {message}", path, number) from None
+                    obj = json.loads(raw)
+                except (ValueError, RecursionError) as exc:
+                    # too deep a nesting or too long an integer has no .msg
+                    message = getattr(exc, "msg", exc)
+                    raise FormatError(f"invalid JSON: {message}", path, number) from None
                 yield number, obj
                 if stream:
                     fast = _STREAM_ROW.fullmatch
@@ -235,7 +222,7 @@ def _read_jsonl(path, expected_kind):
 
 
 def _state_rows(path, rows, spec: ProcedureSpec | None, manifest: FileManifest, record):
-    """Yield record(line, frame, time_s, obj, state_of) for each record of a stream or step file.
+    """Yield record(path, line, frame, time_s, obj, state_of) per row of a stream or step file.
 
     This is the one row loop of both line-oriented kinds; ``record``
     turns a checked row into what the kind yields. Every record must be
@@ -306,7 +293,7 @@ def _state_rows(path, rows, spec: ProcedureSpec | None, manifest: FileManifest, 
         if time_s == inf:  # frame and fps are finite and non-negative, so never NaN
             raise FormatError(f"frame / fps is not a finite time (fps {fps})", path, line)
         if not fast:
-            yield record(line, frame, time_s, obj, state_of)
+            yield record(path, line, frame, time_s, obj, state_of)
         elif text is None:
             yield DetectionFrame(frame, time_s, ())
         else:
@@ -337,7 +324,7 @@ def iter_stream_file(
     procedure, every state must have its component count.
     """
     manifest, rows = _read_jsonl(path, "stream")
-    return manifest, _state_rows(path, rows, spec, manifest, partial(_frame_record, path))
+    return manifest, _state_rows(path, rows, spec, manifest, _frame_record)
 
 
 def _frame_record(path, line, frame, time_s, obj, state_of) -> DetectionFrame:
@@ -416,26 +403,19 @@ def _step_record(path, line, frame, time_s, obj, state_of):
     return line, frame, time_s, state, confidence
 
 
-def _step_rows(path, rows, spec: ProcedureSpec | None, manifest: FileManifest):
-    """Yield (line, frame, time_s, state, confidence) for each row of a step file."""
-    return _state_rows(path, rows, spec, manifest, partial(_step_record, path))
-
-
-def read_ground_truth(
-    path, spec: ProcedureSpec, include_errors: bool = True
-) -> tuple[FileManifest, StepSequence]:
+def read_ground_truth(path, spec: ProcedureSpec) -> tuple[FileManifest, StepSequence]:
     """Read a step-sequence file as (new state)@(frame) records.
 
-    Consecutive states are diffed into step events. With include_errors
-    false, incorrectly completed steps are dropped, giving the
-    correct-completions-only view of the same file.
+    Consecutive states are diffed into step events, incorrect completions
+    included; ``.correct_only()`` of the sequence drops those.
     """
     manifest, rows = _read_jsonl(path, "ground_truth")
     source = manifest.source or EventSource.GROUND_TRUTH
     previous: AssemblyState | None = None
     events: list[StepEvent] = []
     seen: set[str] = set()
-    for line, frame, time_s, state, confidence in _step_rows(path, rows, spec, manifest):
+    rows = _state_rows(path, rows, spec, manifest, _step_record)
+    for line, frame, time_s, state, confidence in rows:
         if previous is None:
             previous = state
             continue
@@ -458,10 +438,7 @@ def read_ground_truth(
         previous = state
     if previous is None:
         raise FormatError("step file has no state rows", path, 1)
-    sequence = StepSequence.from_events(manifest.recording_id, manifest.fps, events)
-    if not include_errors:
-        sequence = sequence.correct_only()
-    return manifest, sequence
+    return manifest, StepSequence.from_events(manifest.recording_id, manifest.fps, events)
 
 
 def _writable_base_state(
@@ -811,7 +788,7 @@ def validate_file(path, spec: ProcedureSpec | None = None) -> list[str]:
                 read_ground_truth(path, spec)
             else:
                 manifest, rows = _read_jsonl(path, "ground_truth")
-                for _ in _step_rows(path, rows, None, manifest):
+                for _ in _state_rows(path, rows, None, manifest, _step_record):
                     pass
         elif kind == "procedure":
             read_procedure(path)

@@ -74,19 +74,10 @@ class SimConfig:
                 raise ValueError(f"{name} must be a probability in [0, 1], got {value}")
 
     @classmethod
-    def noiseless(
-        cls,
-        seed: int = 0,
-        fps: float = 10.0,
-        dwell_mean_s: float = 3.0,
-        dwell_jitter_s: float = 1.0,
-    ) -> SimConfig:
+    def noiseless(cls, seed: int = 0) -> SimConfig:
         """Perfect detector: every frame detects the true state at 1.0."""
         return cls(
             seed=seed,
-            fps=fps,
-            dwell_mean_s=dwell_mean_s,
-            dwell_jitter_s=dwell_jitter_s,
             detect_prob=1.0,
             conf_mean=1.0,
             conf_spread=0.0,

@@ -498,6 +498,15 @@ class TestRunBaseline:
         with pytest.raises(ValueError, match="strictly increasing"):
             run_baseline(BaselineConfig(Variant.B2), spec, frames, FPS)
 
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_mis_sized_detection_rejected(self, car_spec, variant):
+        frames = [frame(0, det([0, 0], 1.0))]
+        with pytest.raises(
+            ValueError,
+            match="detection has 2 components, procedure 'industreal_car_assembly' has 11",
+        ):
+            run_baseline(BaselineConfig(variant), car_spec, frames, FPS)
+
     def test_determinism(self, car_spec):
         cfg = SimConfig(seed=23, misclass_prob=0.1)
         scenario = simulate(car_spec, cfg=cfg)

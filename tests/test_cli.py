@@ -306,6 +306,30 @@ class TestRun:
         assert f"threshold must be finite and >= 0, got {threshold}" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_decay_flag_reaches_recognizer(self, tmp_path):
+        _, _, paths = make_scenario_files(tmp_path, seed=8, noiseless=False)
+        outputs = {}
+        for decay in (None, "0.75", "1.0"):
+            out = tmp_path / f"pred-{decay}.jsonl"
+            argv = ["run", "--baseline", "b2", "--spec", CAR,
+                    "--stream", str(paths["stream"]), "--out", str(out)]
+            assert main(argv + ["--decay", decay] * (decay is not None)) == 0
+            outputs[decay] = out.read_bytes()
+        assert outputs["0.75"] == outputs[None]  # 0.75 is the default
+        assert outputs["1.0"] != outputs[None]
+
+    @pytest.mark.parametrize("decay", ["0", "-0.5", "1.5", "nan"])
+    def test_out_of_range_decay_is_rejected(self, tmp_path, capsys, decay):
+        _, _, paths = make_scenario_files(tmp_path)
+        out = tmp_path / "pred.jsonl"
+        rc = main(
+            ["run", "--baseline", "b2", "--spec", CAR, "--stream", str(paths["stream"]),
+             "--out", str(out), "--decay", decay]
+        )
+        assert rc == 1
+        assert "decay must be in (0, 1]" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stream_width_checked_against_spec(self, tmp_path, capsys):
         _, _, paths = make_scenario_files(tmp_path)
         spec_path = tmp_path / "wide.json"
@@ -705,6 +729,17 @@ class TestBench:
         rc = main(["bench", "--spec", CAR, "--runs", str(runs), "--out", str(tmp_path / "r.csv")])
         assert rc == 1
         assert "no *.gt.jsonl" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("kind", ["file", "absent"])
+    def test_runs_not_a_directory(self, tmp_path, capsys, kind):
+        runs = tmp_path / "runs"
+        if kind == "file":
+            runs.write_text("", encoding="utf-8")
+        out = tmp_path / "r.csv"
+        rc = main(["bench", "--spec", CAR, "--runs", str(runs), "--out", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == f"{runs}: not a directory\n"
+        assert not out.exists()
 
     def test_missing_prediction_file(self, tmp_path, capsys):
         runs = tmp_path / "runs"

@@ -511,8 +511,7 @@ class TestGroundTruthFiles:
         )
         _, full = read_ground_truth(path, spec)
         assert full.action_ids() == ("a0", "incorrect:a1")
-        _, correct = read_ground_truth(path, spec, include_errors=False)
-        assert correct.action_ids() == ("a0",)
+        assert full.correct_only().action_ids() == ("a0",)
 
     def test_round_trip_of_simulated_ground_truth(self, tmp_path, car_spec):
         scenario = simulate(
@@ -799,6 +798,57 @@ class TestValidateFile:
         diagnostics = validate_file(path)
         assert len(diagnostics) == 1
         assert "bad.jsonl:2" in diagnostics[0]
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("format_version", 1, "format_version must be a string"),
+            ("format_version", "1.0", "malformed format_version '1.0'"),
+            ("format_version", "1.x.0", "malformed format_version '1.x.0'"),
+            ("kind", "trace", "unknown file kind 'trace'"),
+            ("recording_id", 7, "recording_id must be a string"),
+            ("fps", 0, "fps must be positive and finite, got 0.0"),
+            ("fps", -2.5, "fps must be positive and finite, got -2.5"),
+        ],
+        ids=["version-type", "version-parts", "version-digits", "kind", "recording-id",
+             "fps-zero", "fps-negative"],
+    )
+    def test_manifest_errors(self, tmp_path, capsys, key, value, message):
+        path = tmp_path / "s.jsonl"
+        manifest = {**json.loads(MANIFEST_LINE), key: value}
+        write_lines(path, [json.dumps(manifest), '{"frame":0,"detections":[]}'])
+        assert validate_file(path) == [f"{path}:1: {message}"]
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"{path}:1: {message}\n"
+
+    @pytest.mark.parametrize(
+        "name, edit, message",
+        [
+            ("r.json", lambda d: d.update(recordings={}), "report 'recordings' must be a list"),
+            ("r.json", lambda d: d["recordings"].append(1), "report rows must be objects"),
+            ("r.json", lambda d: d["recordings"][1].pop("pos"), "report row is missing 'pos'"),
+            ("s.scenario.json", lambda d: d.pop("recording_id"),
+             "scenario document is missing 'recording_id'"),
+            ("s.scenario.json", lambda d: d.pop("ground_truth_file"),
+             "scenario document is missing 'ground_truth_file'"),
+            ("s.scenario.json", lambda d: d.update(config=[]),
+             "scenario 'config' must be an object"),
+        ],
+        ids=["recordings-not-list", "row-not-object", "row-missing-column",
+             "scenario-missing-first-key", "scenario-missing-last-key", "config-not-object"],
+    )
+    def test_document_errors(self, tmp_path, capsys, car_spec, name, edit, message):
+        write_report(tmp_path / "r.json", [report("a"), report("b")])
+        cfg = SimConfig(seed=12)
+        scenario = simulate(car_spec, cfg=cfg, recording_id="s")
+        write_scenario(tmp_path, scenario, car_spec, cfg, ErrorInjection())
+        path = tmp_path / name
+        document = json.loads(path.read_text(encoding="utf-8"))
+        edit(document)
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert validate_file(path) == [f"{path}: {message}"]
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"{path}: {message}\n"
 
 
 class TestFuzzSmoke:
