@@ -153,25 +153,29 @@ def _parse_manifest(obj, expected_kind: str | None, path, line=1) -> FileManifes
     )
 
 
-# write_stream's two row shapes; int() and float() of the groups give what
-# json.loads gives. 18 frame digits stay under int()'s digit limit, and an
-# integer conf is left to the full parse, which hands it to _as_number
+# write_stream's and write_ground_truth's two row shapes each: int() and float()
+# of the groups give what json.loads gives (18 frame digits stay under int()'s
+# limit, an integer conf takes the full parse, a step row's conf is never < 0)
 _STREAM_ROW = re.compile(
     rb'\{"frame":(0|[1-9][0-9]{0,17}),"detections":\[(?:\{"state":"([-0-9,]*)","conf":'
     rb'(-?(?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+))\})?\]\}\n?'
 )
+_STEP_ROW = re.compile(
+    rb'\{"frame":(0|[1-9][0-9]{0,17}),"state":"([-0-9,]*)"(?:,"conf":'
+    rb'((?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)))?\}\n?'
+)
 
 
-def _iter_jsonl(path, stream=False):
+def _iter_jsonl(path, row=None):
     """Yield (line_number, parsed object) for each non-blank line.
 
     The file is read one line at a time and closed when the generator
     ends or is closed. Lines are numbered as str.splitlines() numbers
     the whole text; a UTF-8 error names the newline-delimited line that
     holds the bad byte. A line is parsed by json.loads, and an invalid
-    one raises json.loads's message. In a ``stream``, a line after the
-    manifest that _STREAM_ROW matches is not decoded: its match groups,
-    (frame, state, conf) bytes, stand for the object.
+    one raises json.loads's message. A line after the manifest that the
+    ``row`` pattern of the file's kind matches is not decoded: its match
+    groups, (frame, state, conf) bytes, stand for the object.
     """
     try:
         handle = open(path, "rb")
@@ -204,12 +208,11 @@ def _iter_jsonl(path, stream=False):
                     message = getattr(exc, "msg", exc)
                     raise FormatError(f"invalid JSON: {message}", path, number) from None
                 yield number, obj
-                if stream:
-                    fast = _STREAM_ROW.fullmatch
+                fast = row and row.fullmatch
 
 
 def _read_jsonl(path, expected_kind):
-    rows = _iter_jsonl(path, expected_kind == "stream")
+    rows = _iter_jsonl(path, {"stream": _STREAM_ROW, "ground_truth": _STEP_ROW}.get(expected_kind))
     try:
         _, first = next(rows)
         manifest = _parse_manifest(first, expected_kind, path)
@@ -231,9 +234,9 @@ def _state_rows(path, rows, spec: ProcedureSpec | None, manifest: FileManifest, 
     time ``frame / fps`` is a finite float. ``state_of(text, line)``
     parses a 'state' value through one memo per file, so each distinct
     string is parsed and width-checked once. The width is the
-    procedure's when one is given, otherwise the first state's. A stream
-    row that _iter_jsonl did not decode becomes its DetectionFrame here,
-    with the same checks.
+    procedure's when one is given, otherwise the first state's. A row
+    that _iter_jsonl did not decode gets the same checks: a stream row
+    becomes its DetectionFrame here, a step row goes to ``record``.
     """
     states: dict[str, AssemblyState] = {}
     fast_states: dict[bytes, AssemblyState] = {}
@@ -266,13 +269,16 @@ def _state_rows(path, rows, spec: ProcedureSpec | None, manifest: FileManifest, 
 
     stream = manifest.kind == "stream"
     noun = "frame" if stream else "state"
+    stream_row = tuple if stream else None  # a step row's tuple takes its own elif
     fps, inf = manifest.fps, math.inf
     last_frame = -1
     for line, obj in rows:
-        fast = obj.__class__ is tuple  # a row in write_stream's shape, see _iter_jsonl
+        fast = obj.__class__ is stream_row  # a row in write_stream's shape, see _iter_jsonl
         if fast:
             frame, text, conf = obj
             frame = int(frame)
+        elif obj.__class__ is tuple:  # a row in write_ground_truth's shape
+            frame = int(obj[0])
         elif not isinstance(obj, dict):
             raise FormatError(f"{noun} record must be a JSON object", path, line)
         else:
@@ -394,6 +400,12 @@ def write_stream(path, manifest: FileManifest, frames) -> None:
 
 def _step_record(path, line, frame, time_s, obj, state_of):
     """(line, frame, time_s, state, confidence) for one row of a step file."""
+    if obj.__class__ is tuple:  # _STEP_ROW's (frame, state, conf) bytes
+        state = state_of(obj[1].decode("ascii"), line)
+        confidence = 1.0 if obj[2] is None else float(obj[2])
+        if confidence == math.inf:
+            _as_number(confidence, "'conf'", path, line)  # names the overflow
+        return line, frame, time_s, state, confidence
     state = state_of(obj.get("state"), line)
     confidence = 1.0
     if "conf" in obj:
@@ -820,9 +832,31 @@ def _validate_report_document(document: dict, path) -> None:
     recordings = document.get("recordings")
     if not isinstance(recordings, list):
         raise FormatError("report 'recordings' must be a list", path)
-    for row in recordings:
+    aggregates = document.get("aggregates")
+    if not isinstance(aggregates, dict):
+        raise FormatError("report 'aggregates' must be an object", path)
+    rows = [(f"recordings[{i}]", row) for i, row in enumerate(recordings)]
+    rows.append(("aggregates.all", aggregates.get("all")))
+    if aggregates.get("errors_only") is not None:
+        rows.append(("aggregates.errors_only", aggregates["errors_only"]))
+    for where, row in rows:
         if not isinstance(row, dict):
             raise FormatError("report rows must be objects", path)
-        for column in REPORT_COLUMNS:
+        for column, what, ok in _REPORT_CHECKS:
             if column not in row:
                 raise FormatError(f"report row is missing '{column}'", path)
+            if not ok(row[column]):
+                raise FormatError(f"{where}.{column} must be {what}, got {row[column]!r}", path)
+
+
+# (column, what it must be, test) per REPORT_COLUMNS; NaN fails every comparison
+_REPORT_CHECKS = (
+    ("recording_id", "a string", lambda v: isinstance(v, str)),
+    *((c, "a number in [0, 1]", lambda v: v.__class__ in (int, float) and 0 <= v <= 1)
+      for c in ("pos", "precision", "recall", "f1")),
+    ("tau_s", "null or a finite number >= 0",
+     lambda v: v is None or v.__class__ in (int, float) and 0 <= v < math.inf),
+    *((c, "a non-negative integer", lambda v: v.__class__ is int and v >= 0)
+      for c in ("tp", "fp", "fn")),
+    ("has_errors", "true or false", lambda v: v.__class__ is bool),
+)

@@ -254,6 +254,10 @@ class StepSequence:
         return any(e.transition is Transition.INCORRECT for e in self.events)
 
 
+# the tokens serialize_state writes; a compact digit is "0" or "1" too
+_STATUS_OF_TOKEN = {str(int(s)): s for s in ComponentStatus}
+
+
 def parse_state_text(text: str) -> AssemblyState:
     """Parse a state string of any length.
 
@@ -265,23 +269,25 @@ def parse_state_text(text: str) -> AssemblyState:
     if not text:
         raise ValueError("empty state string")
     # single-component states have no separator; "-1" is still list form
-    if "," in text or text == "-1":
-        values = []
-        for token in text.split(","):
-            token = token.strip()
-            try:
-                value = int(token)
-            except ValueError:
-                raise ValueError(f"malformed state token '{token}' in '{text}'") from None
-            values.append(status_for_value(value))
-        return AssemblyState(tuple(values))
-    for ch in text:
-        if ch not in "01":
-            raise ValueError(
-                f"compact state '{text}' may only contain 0 and 1; "
-                "use the comma-separated form for -1"
-            )
-    return AssemblyState(tuple(status_for_value(int(ch)) for ch in text))
+    listed = "," in text or text == "-1"
+    statuses = tuple(map(_STATUS_OF_TOKEN.get, text.split(",") if listed else text))
+    if None not in statuses:
+        return AssemblyState(statuses)
+    if not listed:  # a character other than 0 and 1
+        raise ValueError(
+            f"compact state '{text}' may only contain 0 and 1; "
+            "use the comma-separated form for -1"
+        )
+    # another token (" 1", "+1", "01", "2", ...) takes int(), which may accept it
+    values = []
+    for token in text.split(","):
+        token = token.strip()
+        try:
+            value = int(token)
+        except ValueError:
+            raise ValueError(f"malformed state token '{token}' in '{text}'") from None
+        values.append(status_for_value(value))
+    return AssemblyState(tuple(values))
 
 
 def serialize_state(state: AssemblyState) -> str:

@@ -18,9 +18,11 @@ from psrkit.model import (
     StepSequence,
     Transition,
     apply_transition,
+    diff_states,
     expected_states,
     parse_state_text,
     serialize_state,
+    status_for_value,
     transition_to,
 )
 
@@ -355,6 +357,146 @@ def reference_write_stream(path, manifest, frames) -> None:
                 detections.append(record)
             row = {"frame": frame.frame, "detections": detections}
             handle.write(json.dumps(row, separators=(",", ":")) + "\n")
+
+
+def reference_parse_state_text(text: str) -> AssemblyState:
+    """A state string parsed the plain way: one int() per token.
+
+    The parser before its token table; it must give equal states with
+    the same ComponentStatus members, or the same ValueError message.
+    """
+    text = text.strip()
+    if not text:
+        raise ValueError("empty state string")
+    if "," in text or text == "-1":
+        values = []
+        for token in text.split(","):
+            token = token.strip()
+            try:
+                value = int(token)
+            except ValueError:
+                raise ValueError(f"malformed state token '{token}' in '{text}'") from None
+            values.append(status_for_value(value))
+        return AssemblyState(tuple(values))
+    for ch in text:
+        if ch not in "01":
+            raise ValueError(
+                f"compact state '{text}' may only contain 0 and 1; "
+                "use the comma-separated form for -1"
+            )
+    return AssemblyState(tuple(status_for_value(int(ch)) for ch in text))
+
+
+def reference_read_ground_truth(path, spec: ProcedureSpec | None = None):
+    """A step file read the plain way: (manifest, sequence).
+
+    The step reader before it skipped JSON decoding, in one loop:
+    json.loads on every splitlines() line, reference_parse_state_text on
+    every new state and every check in the same order, so the first bad
+    line raises the same located FormatError. Without a procedure the
+    rows are checked as validate_file checks them, the width being the
+    first state's, and the sequence is None.
+    """
+    try:
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise FormatError(f"cannot read file: {exc.strerror or exc}", path) from None
+    manifest = None
+    states: dict[str, AssemblyState] = {}
+    width = spec.n_components if spec is not None else None
+    previous = None
+    events: list[StepEvent] = []
+    last_frame = -1
+    number = 0
+    with handle:
+        for physical, raw_bytes in enumerate(handle, start=1):
+            try:
+                text = raw_bytes.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(
+                    f"file is not valid UTF-8: {exc.reason}", path, physical
+                ) from None
+            for raw in text.splitlines():
+                number += 1
+                line = number
+                if not raw.strip():
+                    continue
+                try:
+                    obj = json.loads(raw)
+                except (ValueError, RecursionError) as exc:
+                    message = getattr(exc, "msg", exc)
+                    raise FormatError(f"invalid JSON: {message}", path, line) from None
+                if manifest is None:
+                    manifest = _parse_manifest(obj, "ground_truth", path)
+                    continue
+                if not isinstance(obj, dict):
+                    raise FormatError("state record must be a JSON object", path, line)
+                frame = _as_int(obj.get("frame"), "'frame'", path, line)
+                if frame < 0:
+                    raise FormatError(
+                        f"frame index must be non-negative, got {frame}", path, line
+                    )
+                if frame < last_frame:
+                    raise FormatError(
+                        f"frame {frame} out of order (previous was {last_frame})", path, line
+                    )
+                last_frame = frame
+                try:
+                    time_s = frame / manifest.fps
+                except OverflowError:
+                    time_s = math.inf
+                if not math.isfinite(time_s):
+                    raise FormatError(
+                        f"frame / fps is not a finite time (fps {manifest.fps})", path, line
+                    )
+                state_text = obj.get("state")
+                if not isinstance(state_text, str):
+                    raise FormatError("'state' must be a string", path, line)
+                if state_text not in states:
+                    try:
+                        state = reference_parse_state_text(state_text)
+                    except ValueError as exc:
+                        raise FormatError(str(exc), path, line) from None
+                    if width is None:
+                        width = len(state)
+                    elif len(state) != width:
+                        if spec is not None:
+                            message = (
+                                f"state has {len(state)} components, procedure "
+                                f"'{spec.id}' expects {width}"
+                            )
+                        else:
+                            message = f"state width {len(state)} differs from earlier width {width}"
+                        raise FormatError(message, path, line)
+                    states[state_text] = state
+                state = states[state_text]
+                confidence = 1.0
+                if "conf" in obj:
+                    confidence = _as_number(obj["conf"], "'conf'", path, line)
+                    if confidence < 0:
+                        raise FormatError(f"'conf' must be >= 0, got {confidence}", path, line)
+                if spec is None:
+                    continue
+                if previous is not None:
+                    for component, transition in diff_states(previous, state):
+                        action_id = spec.step_id(component, transition)
+                        if any(e.action_id == action_id for e in events):
+                            raise FormatError(
+                                f"duplicate completion of '{action_id}'", path, line
+                            )
+                        source = manifest.source or EventSource.GROUND_TRUTH
+                        events.append(
+                            StepEvent(action_id, component, transition, time_s, frame,
+                                      confidence, source)
+                        )
+                previous = state
+    if manifest is None:
+        raise FormatError("file is empty, expected a manifest line", path, 1)
+    if spec is None:
+        return manifest, None
+    if previous is None:
+        raise FormatError("step file has no state rows", path, 1)
+    return manifest, StepSequence.from_events(manifest.recording_id, manifest.fps, events)
 
 
 def state_at(scenario, frame: int) -> AssemblyState:

@@ -2,17 +2,25 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import linear_spec, maintenance_spec, reference_read_stream, reference_write_stream
+from helpers import (
+    linear_spec,
+    maintenance_spec,
+    reference_read_ground_truth,
+    reference_read_stream,
+    reference_write_stream,
+)
 from psrkit.baselines import BaselineConfig, Detection, DetectionFrame, Variant, run_baseline
 from psrkit.cli import main
 from psrkit.formats import (
     BUILTIN_PROCEDURES,
+    _STEP_ROW,
     _STREAM_ROW,
     FileManifest,
     FormatError,
@@ -610,6 +618,120 @@ class TestGroundTruthFiles:
         assert back == empty
 
 
+@pytest.fixture(scope="module")
+def car_prediction_bytes(car_spec, tmp_path_factory) -> bytes:
+    """A B2 prediction file of a noisy car recording with an incorrect step."""
+    scenario = simulate(
+        car_spec, ErrorInjection(incorrect=frozenset({"install_rear_chassis"})),
+        SimConfig(seed=5, misclass_prob=0.1),
+    )
+    predicted = run_baseline(
+        BaselineConfig(Variant.B2), car_spec, scenario.stream, scenario.ground_truth.fps,
+        scenario.ground_truth.recording_id,
+    )
+    path = tmp_path_factory.mktemp("prediction") / "pred.jsonl"
+    write_ground_truth(path, predicted, car_spec, source=EventSource.RECOGNIZED)
+    return path.read_bytes()
+
+
+def step_outcome(read):
+    """(manifest, sequence) of a step-file read, or its (message, line)."""
+    try:
+        return read()
+    except FormatError as exc:
+        assert exc.line is not None
+        return (exc.message, exc.line)
+
+
+GT_MANIFEST_LINE = json.dumps(
+    {"format_version": "1.0.0", "kind": "ground_truth", "recording_id": "rec", "fps": 10.0}
+)
+
+
+class TestStepRowFastPath:
+    """Step rows in write_ground_truth's shape skip the JSON decoder and read the same."""
+
+    @staticmethod
+    def agree(path, spec):
+        """read_ground_truth and validate_file against reference_read_ground_truth."""
+        read = step_outcome(lambda: read_ground_truth(path, spec))
+        assert read == step_outcome(lambda: reference_read_ground_truth(path, spec))
+        structural = step_outcome(lambda: reference_read_ground_truth(path))
+        expected = [] if isinstance(structural[0], FileManifest) else [
+            f"{path}:{structural[1]}: {structural[0]}"
+        ]
+        assert validate_file(path) == expected
+        return read
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_mutants(self, tmp_path_factory, car_prediction_bytes, car_spec, seed):
+        path = tmp_path_factory.mktemp("mutants") / "m.jsonl"
+        path.write_bytes(mutate_bytes(car_prediction_bytes, random.Random(seed)))
+        self.agree(path, car_spec)
+
+    @pytest.mark.parametrize(
+        "row, expected",
+        [
+            ('{"frame":7,"state":"1,0,0","conf":0.5}', (7, 0.5)),
+            ('{"frame":7,"state":"1,0,0"}', (7, 1.0)),
+            ('{"frame":7,"state":"1,0,0","conf":1}', (7, 1.0)),
+            ('{"frame":7,"state":"1,0,0","conf":-0.0}', (7, -0.0)),
+            ('{"frame":7,"state":"1,0,0","conf":5E-1}', (7, 0.5)),
+            ('{"frame":1000000000000000000,"state":"1,0,0","conf":0.5}',
+             (10**18, 0.5)),
+            ('{"frame":7,"state":"\\u0031,0,0","conf":0.5}', (7, 0.5)),
+            ('{"frame":7,"state":"1,0,0","conf":0.5,"box":null}', (7, 0.5)),
+            ('{"frame":7, "state":"1,0,0","conf":0.5}', (7, 0.5)),
+            ('{"frame":7,"state":"1,0,0","conf":0.5}\r', (7, 0.5)),
+            ('{"frame":07,"state":"1,0,0","conf":0.5}', ("invalid JSON: Expecting ',' delimiter", 3)),
+            ('{"frame":7,"state":"1,0,0","conf":-0.5}', ("'conf' must be >= 0, got -0.5", 3)),
+            ('{"frame":7,"state":"1,0,0","conf":1e999}', ("'conf' must be finite, got inf", 3)),
+            ('{"frame":7,"state":" 1,0,0","conf":0.5}', (7, 0.5)),
+            ('{"frame":7,"state":"1,0,2","conf":1e999}',
+             ("component status must be -1, 0 or 1, got 2", 3)),
+            ('{"frame":7,"state":"1,0","conf":0.5}',
+             ("state has 2 components, procedure 'chain' expects 3", 3)),
+        ],
+        ids=["writer-row", "no-conf", "integer-conf", "negative-zero-conf", "exponent-conf",
+             "19-digit-frame", "escaped-state", "extra-key", "spaced-row", "trailing-cr",
+             "leading-zero-frame", "negative-conf", "overflowing-conf", "spaced-state",
+             "bad-state-before-bad-conf", "narrow-state"],
+    )
+    def test_edge_rows(self, tmp_path, row, expected):
+        """Each row at the pattern's edge gives the slow path's event or error."""
+        path = tmp_path / "gt.jsonl"
+        base = '{"frame":0,"state":"0,0,0"}'
+        path.write_bytes(f"{GT_MANIFEST_LINE}\n{base}\n{row}\n".encode())
+        outcome = self.agree(path, linear_spec(3))
+        if isinstance(expected[0], str):
+            assert outcome == expected
+        else:
+            (event,) = outcome[1].events
+            assert (event.action_id, event.frame, event.confidence) == ("a0", *expected)
+            assert type(event.confidence) is float
+
+    @pytest.mark.parametrize("spec_name", BUILTIN_PROCEDURES)
+    def test_every_written_row_matches(self, tmp_path, spec_name):
+        """A writer change that moves step rows off the fast path fails here."""
+        spec = load_builtin_procedure(spec_name)
+        install = next(a for a in spec.actions if a.transition is Transition.INSTALL)
+        argv = ["simulate", "--spec", spec_name, "--seed", "4", "--out-dir", str(tmp_path),
+                "--incorrect", install.action_id]
+        assert main(argv) == 0
+        (stream,) = tmp_path.glob("*.stream.jsonl")
+        paths = list(tmp_path.glob("*.gt.jsonl"))
+        for baseline in ("b1", "b2", "b3"):
+            paths.append(tmp_path / f"{baseline}.pred.jsonl")
+            assert main(["run", "--baseline", baseline, "--spec", spec_name,
+                         "--stream", str(stream), "--out", str(paths[-1])]) == 0
+        for path in paths:
+            rows = path.read_bytes().splitlines(keepends=True)[1:]
+            assert len(rows) > 1 and all(_STEP_ROW.fullmatch(row) for row in rows), path
+        # the ground truth holds an incorrect step, so -1 states are checked too
+        assert b"-1" in paths[0].read_bytes()
+
+
 class TestProcedureFiles:
     def test_builtins_load_and_validate(self):
         for name in BUILTIN_PROCEDURES:
@@ -849,6 +971,108 @@ class TestValidateFile:
         assert validate_file(path) == [f"{path}: {message}"]
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err == f"{path}: {message}\n"
+
+
+@pytest.fixture(scope="module")
+def written_reports(tmp_path_factory) -> dict:
+    """JSON reports that eval and bench write, with and without error recordings."""
+    car = "industreal_car_assembly"
+    clean, mixed = tmp_path_factory.mktemp("clean"), tmp_path_factory.mktemp("mixed")
+    for rid, extra in (("ok", []), ("bad", ["--incorrect", "install_rear_chassis"])):
+        for runs in (clean, mixed) if rid == "ok" else (mixed,):
+            assert main(["simulate", "--spec", car, "--seed", "3", "--out-dir", str(runs),
+                         "--recording-id", rid, *extra]) == 0
+            assert main(["run", "--baseline", "b2", "--spec", car, "--stream",
+                         str(runs / f"{rid}.stream.jsonl"),
+                         "--out", str(runs / f"{rid}.pred.jsonl")]) == 0
+    paths = {}
+    for rid in ("ok", "bad"):
+        paths[f"eval-{rid}"] = mixed / f"eval-{rid}.json"
+        assert main(["eval", "--spec", car, "--gt", str(mixed / f"{rid}.gt.jsonl"),
+                     "--pred", str(mixed / f"{rid}.pred.jsonl"),
+                     "--out", str(paths[f"eval-{rid}"]), "--format", "json"]) == 0
+    for name, runs in (("bench-clean", clean), ("bench-mixed", mixed)):
+        paths[name] = runs.parent / f"{runs.name}.json"
+        assert main(["bench", "--spec", car, "--runs", str(runs),
+                     "--out", str(paths[name]), "--format", "json"]) == 0
+    return paths
+
+
+def set_in(keys, value):
+    """An edit of a report document that sets the value at one key path."""
+    def edit(document):
+        target = document
+        for key in keys[:-1]:
+            target = target[key]
+        target[keys[-1]] = value
+    return edit
+
+
+class TestReportValidation:
+    def test_written_reports_validate(self, written_reports):
+        errors_only = {}
+        for name, path in written_reports.items():
+            assert validate_file(path) == [], name
+            assert main(["validate", str(path)]) == 0
+            errors_only[name] = json.loads(path.read_text())["aggregates"]["errors_only"]
+        # both shapes of the ERRORS_ONLY aggregate are covered
+        assert errors_only["eval-ok"] is None and errors_only["bench-clean"] is None
+        assert errors_only["eval-bad"] is not None and errors_only["bench-mixed"] is not None
+
+    @pytest.mark.parametrize(
+        "keys, value, message",
+        [
+            (("recordings", 0, "recording_id"), 7,
+             "recordings[0].recording_id must be a string, got 7"),
+            (("recordings", 1, "pos"), "x", "recordings[1].pos must be a number in [0, 1], got 'x'"),
+            (("recordings", 0, "precision"), 1.5,
+             "recordings[0].precision must be a number in [0, 1], got 1.5"),
+            (("recordings", 0, "recall"), -0.25,
+             "recordings[0].recall must be a number in [0, 1], got -0.25"),
+            (("recordings", 0, "f1"), math.nan, "recordings[0].f1 must be a number in [0, 1], got nan"),
+            (("recordings", 0, "f1"), True, "recordings[0].f1 must be a number in [0, 1], got True"),
+            (("recordings", 0, "tau_s"), -1,
+             "recordings[0].tau_s must be null or a finite number >= 0, got -1"),
+            (("recordings", 0, "tau_s"), math.inf,
+             "recordings[0].tau_s must be null or a finite number >= 0, got inf"),
+            (("recordings", 0, "tau_s"), "0.5",
+             "recordings[0].tau_s must be null or a finite number >= 0, got '0.5'"),
+            (("recordings", 0, "tp"), -3, "recordings[0].tp must be a non-negative integer, got -3"),
+            (("recordings", 0, "fp"), 1.0, "recordings[0].fp must be a non-negative integer, got 1.0"),
+            (("recordings", 0, "fn"), False,
+             "recordings[0].fn must be a non-negative integer, got False"),
+            (("recordings", 0, "has_errors"), 1, "recordings[0].has_errors must be true or false, got 1"),
+            (("aggregates",), 7, "report 'aggregates' must be an object"),
+            (("aggregates", "all"), None, "report rows must be objects"),
+            (("aggregates", "all", "tp"), -1,
+             "aggregates.all.tp must be a non-negative integer, got -1"),
+            (("aggregates", "errors_only"), 7, "report rows must be objects"),
+            (("aggregates", "errors_only", "pos"), "x",
+             "aggregates.errors_only.pos must be a number in [0, 1], got 'x'"),
+        ],
+        ids=["recording-id", "pos-string", "precision-above-one", "recall-negative", "f1-nan",
+             "f1-bool", "tau-negative", "tau-infinite", "tau-string", "tp-negative",
+             "fp-float", "fn-bool", "has-errors-int", "aggregates-int", "all-null",
+             "all-tp-negative", "errors-only-int", "errors-only-pos-string"],
+    )
+    def test_bad_values_rejected(self, tmp_path, capsys, written_reports, keys, value, message):
+        document = json.loads(written_reports["bench-mixed"].read_text())
+        set_in(keys, value)(document)
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert validate_file(path) == [f"{path}: {message}"]
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == f"{path}: {message}\n"
+
+    def test_missing_aggregates_and_aggregate_columns(self, tmp_path, written_reports):
+        document = json.loads(written_reports["bench-mixed"].read_text())
+        del document["aggregates"]["errors_only"]["f1"]
+        path = tmp_path / "r.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert validate_file(path) == [f"{path}: report row is missing 'f1'"]
+        del document["aggregates"]
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert validate_file(path) == [f"{path}: report 'aggregates' must be an object"]
 
 
 class TestFuzzSmoke:

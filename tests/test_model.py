@@ -13,6 +13,7 @@ from helpers import (
     maintenance_spec,
     oracle_expected_states,
     random_install_procedure,
+    reference_parse_state_text,
     sequence,
 )
 from psrkit.model import (
@@ -86,6 +87,48 @@ class TestParseState:
     @given(st.lists(st.sampled_from([0, 1]), min_size=1, max_size=14))
     def test_compact_round_trip_when_legal(self, values):
         assert parse_state_text("".join(map(str, values))).as_ints() == tuple(values)
+
+
+TOKENS = ["0", "1", "-1", " 1", "+1", "01", "-0", "2", "x", "1_0", ""]
+WHITESPACE = st.sampled_from(["", " ", "\t", "\n", " \r\n"])
+
+
+@st.composite
+def state_texts(draw) -> str:
+    """Comma-joined tokens or a compact string, both mostly well formed."""
+    if draw(st.booleans()):
+        body = ",".join(draw(st.lists(st.sampled_from(TOKENS), max_size=6)))
+    else:
+        body = "".join(draw(st.lists(st.sampled_from("0101-2 x"), max_size=12)))
+    return draw(WHITESPACE) + body + draw(WHITESPACE)
+
+
+def parse_outcome(parse, text):
+    """The statuses a parser gives, or its ValueError message."""
+    try:
+        return parse(text).statuses
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestParseStateAgainstReference:
+    """The token table changes no result of tests/helpers.reference_parse_state_text."""
+
+    @given(state_texts())
+    @settings(max_examples=1000)
+    def test_same_state_or_message(self, text):
+        got = parse_outcome(parse_state_text, text)
+        expected = parse_outcome(reference_parse_state_text, text)
+        assert got == expected
+        if not isinstance(expected, str):
+            assert all(a is b for a, b in zip(got, expected, strict=True))
+
+    @pytest.mark.parametrize("text", [" 1,0", "+1,0", "01,0", "-0,1", "1,,0", "2", "1_0,0",
+                                      "1,-1\n", "\u0661,0", "-1", "10"])
+    def test_tokens_off_the_table(self, text):
+        assert parse_outcome(parse_state_text, text) == parse_outcome(
+            reference_parse_state_text, text
+        )
 
 
 class TestDiffStates:
