@@ -40,15 +40,18 @@ class Variant(enum.Enum):
     B3 = "b3"
 
 
+@dataclass(slots=True, init=False)
 class Detection:
     """One detected assembly state with its confidence.
 
-    A plain slots class, because a reader builds one per detection and
-    its construction must stay cheap. Instances compare by value and
-    are not hashable.
+    The constructor is hand-written, because a reader builds one per
+    detection and it must stay cheap while it checks the confidence.
+    Instances compare by value and are not hashable.
     """
 
-    __slots__ = ("state", "confidence", "box")
+    state: AssemblyState
+    confidence: float
+    box: tuple[float, float, float, float] | None
 
     def __init__(
         self,
@@ -62,29 +65,14 @@ class Detection:
         self.confidence = confidence
         self.box = box
 
-    def __eq__(self, other):
-        if other.__class__ is not Detection:
-            return NotImplemented
-        return (self.state, self.confidence, self.box) == (
-            other.state,
-            other.confidence,
-            other.box,
-        )
 
-    def __repr__(self) -> str:
-        return (
-            f"Detection(state={self.state!r}, confidence={self.confidence!r}, "
-            f"box={self.box!r})"
-        )
-
-
+@dataclass(slots=True, init=False)
 class DetectionFrame:
-    """All detections of one video frame (possibly none).
+    """All detections of one video frame (possibly none), declared like Detection."""
 
-    A plain slots class like Detection: compared by value, not hashable.
-    """
-
-    __slots__ = ("frame", "time_s", "detections")
+    frame: int
+    time_s: float
+    detections: tuple[Detection, ...]
 
     def __init__(self, frame: int, time_s: float, detections: tuple[Detection, ...] = ()):
         if frame < 0:
@@ -92,21 +80,6 @@ class DetectionFrame:
         self.frame = frame
         self.time_s = time_s
         self.detections = detections
-
-    def __eq__(self, other):
-        if other.__class__ is not DetectionFrame:
-            return NotImplemented
-        return (self.frame, self.time_s, self.detections) == (
-            other.frame,
-            other.time_s,
-            other.detections,
-        )
-
-    def __repr__(self) -> str:
-        return (
-            f"DetectionFrame(frame={self.frame!r}, time_s={self.time_s!r}, "
-            f"detections={self.detections!r})"
-        )
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,9 @@ def cmd_run(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    if args.format == "csv" and not args.out:
+        print("psrkit: --format csv needs --out", file=sys.stderr)
+        return EXIT_INPUT
     spec = load_spec(args.spec)
     _, y = read_ground_truth(args.gt, spec)
     _, yhat = read_ground_truth(args.pred, spec)

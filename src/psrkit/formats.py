@@ -164,18 +164,19 @@ _STEP_ROW = re.compile(
     rb'\{"frame":(0|[1-9][0-9]{0,17}),"state":"([-0-9,]*)"(?:,"conf":'
     rb'((?:0|[1-9][0-9]*)(?:\.[0-9]+(?:[eE][-+]?[0-9]+)?|[eE][-+]?[0-9]+)))?\}\n?'
 )
+_ROW_MATCHERS = {"stream": _STREAM_ROW.fullmatch, "ground_truth": _STEP_ROW.fullmatch}
 
 
-def _iter_jsonl(path, row=None):
-    """Yield (line_number, parsed object) for each non-blank line.
+def _iter_jsonl(path, kind):
+    """Yield the file's checked manifest, then (line_number, row) per non-blank line.
 
     The file is read one line at a time and closed when the generator
-    ends or is closed. Lines are numbered as str.splitlines() numbers
-    the whole text; a UTF-8 error names the newline-delimited line that
-    holds the bad byte. A line is parsed by json.loads, and an invalid
-    one raises json.loads's message. A line after the manifest that the
-    ``row`` pattern of the file's kind matches is not decoded: its match
-    groups, (frame, state, conf) bytes, stand for the object.
+    ends, fails or is closed. Lines are numbered as str.splitlines()
+    numbers the whole text; a UTF-8 error names the newline-delimited
+    line that holds the bad byte. A line is parsed by json.loads, and an
+    invalid one raises json.loads's message. A line after the manifest
+    that the writer's row pattern of its kind matches is not decoded:
+    its match groups, (frame, state, conf) bytes, stand for the row.
     """
     try:
         handle = open(path, "rb")
@@ -183,7 +184,7 @@ def _iter_jsonl(path, row=None):
         raise FormatError(f"cannot read file: {exc.strerror or exc}", path) from None
     with handle:
         number = 0
-        fast = None  # the manifest line always takes the full parse
+        manifest = fast = None  # the manifest line always takes the full parse
         for physical, raw_bytes in enumerate(handle, start=1):
             match = fast and fast(raw_bytes)
             if match:
@@ -207,69 +208,74 @@ def _iter_jsonl(path, row=None):
                     # too deep a nesting or too long an integer has no .msg
                     message = getattr(exc, "msg", exc)
                     raise FormatError(f"invalid JSON: {message}", path, number) from None
-                yield number, obj
-                fast = row and row.fullmatch
+                if manifest is None:
+                    manifest = _parse_manifest(obj, kind, path)
+                    fast = _ROW_MATCHERS.get(manifest.kind)
+                    yield manifest
+                else:
+                    yield number, obj
+        if manifest is None:
+            raise FormatError("file is empty, expected a manifest line", path, 1)
 
 
-def _read_jsonl(path, expected_kind):
-    rows = _iter_jsonl(path, {"stream": _STREAM_ROW, "ground_truth": _STEP_ROW}.get(expected_kind))
-    try:
-        _, first = next(rows)
-        manifest = _parse_manifest(first, expected_kind, path)
-    except StopIteration:
-        raise FormatError("file is empty, expected a manifest line", path, 1) from None
-    except FormatError:
-        rows.close()
-        raise
-    return manifest, rows
+def _read_rows(path, kind, spec: ProcedureSpec | None = None):
+    """A stream or step file's checked manifest and lazily read records; kind None: any."""
+    records = _state_rows(path, kind, spec)
+    return next(records), records
 
 
-def _state_rows(path, rows, spec: ProcedureSpec | None, manifest: FileManifest, record):
-    """Yield record(path, line, frame, time_s, obj, state_of) per row of a stream or step file.
+def _state_rows(path, kind, spec: ProcedureSpec | None):
+    """Yield a stream or step file's manifest, then one record per row.
 
-    This is the one row loop of both line-oriented kinds; ``record``
-    turns a checked row into what the kind yields. Every record must be
-    an object whose 'frame' is a non-negative integer, strictly
-    increasing in a stream and non-decreasing in a step file, and whose
-    time ``frame / fps`` is a finite float. ``state_of(text, line)``
-    parses a 'state' value through one memo per file, so each distinct
-    string is parsed and width-checked once. The width is the
-    procedure's when one is given, otherwise the first state's. A row
-    that _iter_jsonl did not decode gets the same checks: a stream row
-    becomes its DetectionFrame here, a step row goes to ``record``.
+    This is the one row loop of both line-oriented kinds. Each row's
+    'frame' must be a non-negative integer, strictly increasing in a
+    stream and non-decreasing in a step file, with a finite ``frame /
+    fps``. An undecoded stream row becomes its DetectionFrame here; any
+    other row goes to its kind's builder. ``state_of(text, line)``
+    parses and width-checks each distinct state text once per file,
+    whether it comes as str or as an undecoded row's bytes. The width is
+    the procedure's when one is given, otherwise the first state's.
     """
-    states: dict[str, AssemblyState] = {}
-    fast_states: dict[bytes, AssemblyState] = {}
+    rows = _iter_jsonl(path, kind)
+    manifest = next(rows)
+    yield manifest
+    # str keys from decoded rows, bytes keys from undecoded ones; a bytes
+    # key goes in first, as the str of the same text hashes alike and
+    # would otherwise cost each later bytes lookup an extra comparison
+    states: dict[str | bytes, AssemblyState] = {}
     width = spec.n_components if spec is not None else None
 
     def state_of(text, line) -> AssemblyState:
         nonlocal width
-        if not isinstance(text, str):
+        key = text
+        if text.__class__ is bytes:  # ASCII, by the row patterns
+            text = text.decode("ascii")
+        elif not isinstance(text, str):
             raise FormatError("'state' must be a string", path, line)
         state = states.get(text)
-        if state is not None:
-            return state
-        try:
-            state = parse_state_text(text)
-        except ValueError as exc:
-            raise FormatError(str(exc), path, line) from None
-        if width is None:
-            width = len(state)
-        elif len(state) != width:
-            if spec is not None:
-                message = (
-                    f"state has {len(state)} components, procedure "
-                    f"'{spec.id}' expects {width}"
-                )
-            else:
-                message = f"state width {len(state)} differs from earlier width {width}"
-            raise FormatError(message, path, line)
-        states[text] = state
+        if state is None:
+            try:
+                state = parse_state_text(text)
+            except ValueError as exc:
+                raise FormatError(str(exc), path, line) from None
+            if width is None:
+                width = len(state)
+            elif len(state) != width:
+                if spec is not None:
+                    message = (
+                        f"state has {len(state)} components, procedure "
+                        f"'{spec.id}' expects {width}"
+                    )
+                else:
+                    message = f"state width {len(state)} differs from earlier width {width}"
+                raise FormatError(message, path, line)
+        states[key] = states[text] = state
         return state
 
     stream = manifest.kind == "stream"
     noun = "frame" if stream else "state"
-    stream_row = tuple if stream else None  # a step row's tuple takes its own elif
+    record = _frame_record if stream else _step_record
+    stream_row = tuple if stream else None  # a step row's tuple goes to _step_record
     fps, inf = manifest.fps, math.inf
     last_frame = -1
     for line, obj in rows:
@@ -303,9 +309,9 @@ def _state_rows(path, rows, spec: ProcedureSpec | None, manifest: FileManifest, 
         elif text is None:
             yield DetectionFrame(frame, time_s, ())
         else:
-            state = fast_states.get(text)
+            state = states.get(text)
             if state is None:
-                state = fast_states[text] = state_of(text.decode("ascii"), line)
+                state = state_of(text, line)
             try:
                 detection = Detection(state, float(conf))
             except ValueError as exc:
@@ -329,8 +335,7 @@ def iter_stream_file(
     distinct state string is parsed and width-checked once. With a
     procedure, every state must have its component count.
     """
-    manifest, rows = _read_jsonl(path, "stream")
-    return manifest, _state_rows(path, rows, spec, manifest, _frame_record)
+    return _read_rows(path, "stream", spec)
 
 
 def _frame_record(path, line, frame, time_s, obj, state_of) -> DetectionFrame:
@@ -401,18 +406,15 @@ def write_stream(path, manifest: FileManifest, frames) -> None:
 def _step_record(path, line, frame, time_s, obj, state_of):
     """(line, frame, time_s, state, confidence) for one row of a step file."""
     if obj.__class__ is tuple:  # _STEP_ROW's (frame, state, conf) bytes
-        state = state_of(obj[1].decode("ascii"), line)
-        confidence = 1.0 if obj[2] is None else float(obj[2])
-        if confidence == math.inf:
-            _as_number(confidence, "'conf'", path, line)  # names the overflow
-        return line, frame, time_s, state, confidence
-    state = state_of(obj.get("state"), line)
-    confidence = 1.0
-    if "conf" in obj:
-        confidence = _as_number(obj["conf"], "'conf'", path, line)
-        if confidence < 0:
-            raise FormatError(f"'conf' must be >= 0, got {confidence}", path, line)
-    return line, frame, time_s, state, confidence
+        text, conf = obj[1], 1.0 if obj[2] is None else float(obj[2])
+    else:
+        text, conf = obj.get("state"), obj.get("conf", 1.0)
+    state = state_of(text, line)
+    if conf.__class__ is not float or not 0.0 <= conf < math.inf:
+        conf = _as_number(conf, "'conf'", path, line)  # names NaN and inf
+        if conf < 0:
+            raise FormatError(f"'conf' must be >= 0, got {conf}", path, line)
+    return line, frame, time_s, state, conf
 
 
 def read_ground_truth(path, spec: ProcedureSpec) -> tuple[FileManifest, StepSequence]:
@@ -421,13 +423,12 @@ def read_ground_truth(path, spec: ProcedureSpec) -> tuple[FileManifest, StepSequ
     Consecutive states are diffed into step events, incorrect completions
     included; ``.correct_only()`` of the sequence drops those.
     """
-    manifest, rows = _read_jsonl(path, "ground_truth")
+    manifest, records = _read_rows(path, "ground_truth", spec)
     source = manifest.source or EventSource.GROUND_TRUTH
     previous: AssemblyState | None = None
     events: list[StepEvent] = []
     seen: set[str] = set()
-    rows = _state_rows(path, rows, spec, manifest, _step_record)
-    for line, frame, time_s, state, confidence in rows:
+    for line, frame, time_s, state, confidence in records:
         if previous is None:
             previous = state
             continue
@@ -772,8 +773,8 @@ def sniff_kind(path) -> str:
     """Best-effort file kind: manifest line for JSONL, document key otherwise."""
     suffix = Path(path).suffix
     if suffix == ".jsonl":
-        manifest, rows = _read_jsonl(path, None)
-        rows.close()
+        manifest, records = _read_rows(path, None)
+        records.close()
         return manifest.kind
     document = _read_json_document(path, None)
     kind = document.get("kind")
@@ -792,16 +793,11 @@ def validate_file(path, spec: ProcedureSpec | None = None) -> list[str]:
     """
     try:
         kind = sniff_kind(path)
-        if kind == "stream":
-            for _ in iter_stream_file(path, spec)[1]:
+        if kind == "ground_truth" and spec is not None:
+            read_ground_truth(path, spec)
+        elif kind in ("stream", "ground_truth"):
+            for _ in _read_rows(path, kind, spec)[1]:
                 pass
-        elif kind == "ground_truth":
-            if spec is not None:
-                read_ground_truth(path, spec)
-            else:
-                manifest, rows = _read_jsonl(path, "ground_truth")
-                for _ in _state_rows(path, rows, None, manifest, _step_record):
-                    pass
         elif kind == "procedure":
             read_procedure(path)
         elif kind == "scenario":

@@ -239,6 +239,25 @@ def _sample_order(spec: ProcedureSpec, rng: random.Random) -> list[str]:
     return order
 
 
+# the last frame index a stream or step file can hold: readers take 18 digits
+MAX_FRAME = 10**18 - 1
+
+
+def _checked_frame(frame, cfg: SimConfig):
+    """frame itself, or ValueError naming the settings that push it past MAX_FRAME."""
+    if not frame <= MAX_FRAME:  # inf and NaN too
+        raise ValueError(
+            f"fps {cfg.fps}, dwell_mean_s {cfg.dwell_mean_s} and dwell_jitter_s "
+            f"{cfg.dwell_jitter_s} put the recording's last frame past index {MAX_FRAME}"
+        )
+    return frame
+
+
+def _frame_count(last_change: int, cfg: SimConfig) -> int:
+    """Frames iter_stream renders by default: one trailing dwell past the last state change."""
+    return last_change + max(1, round(_checked_frame(cfg.dwell_mean_s * cfg.fps, cfg)))
+
+
 def sample_execution(
     spec: ProcedureSpec,
     injection: ErrorInjection = NO_INJECTION,
@@ -249,7 +268,9 @@ def sample_execution(
     """Sample one execution: the step events plus the state timeline.
 
     The timeline is a list of (start frame, state) segments; each event
-    is timestamped at the first frame of the segment it creates.
+    is timestamped at the first frame of the segment it creates. A
+    recording whose last frame, the trailing dwell included, would pass
+    MAX_FRAME raises ValueError.
     """
     spec.ensure_valid()
     _validate_injection(spec, injection)
@@ -276,7 +297,7 @@ def sample_execution(
         action = spec.action_by_id(aid)
         dwell = cfg.dwell_mean_s + rng.uniform(-cfg.dwell_jitter_s, cfg.dwell_jitter_s)
         elapsed += max(dwell, min_dwell)
-        frame = max(frame + 1, round(elapsed * cfg.fps))
+        frame = max(frame + 1, round(_checked_frame(elapsed * cfg.fps, cfg)))
         if aid in injection.incorrect:
             transition = Transition.INCORRECT
         else:
@@ -294,6 +315,7 @@ def sample_execution(
                 source=EventSource.GROUND_TRUTH,
             )
         )
+    _checked_frame(_frame_count(frame, cfg) - 1, cfg)
     sequence = StepSequence(recording_id, cfg.fps, tuple(events))
     return sequence, tuple(timeline)
 
@@ -328,8 +350,8 @@ def iter_stream(
     timeline = tuple(timeline)
     if rng is None:
         rng = random.Random(cfg.seed)
-    if n_frames is None:  # one trailing dwell past the last state change
-        n_frames = timeline[-1][0] + max(1, round(cfg.dwell_mean_s * cfg.fps))
+    if n_frames is None:
+        n_frames = _frame_count(timeline[-1][0], cfg)
     # per segment: what a detector blind to mistakes reports, or None
     blind = [_nearest_correct(state) if is_error_state(state) else None for _, state in timeline]
     draw = rng.random

@@ -429,6 +429,24 @@ class TestEval:
         lines = out.read_text(encoding="utf-8").strip().splitlines()
         assert len(lines) == 4  # header + recording + ALL + ERRORS_ONLY marker
 
+    def _eval_argv(self, tmp_path):
+        spec, scenario, paths = make_scenario_files(tmp_path)
+        pred = tmp_path / "pred.jsonl"
+        write_ground_truth(pred, scenario.ground_truth, spec, source=EventSource.RECOGNIZED)
+        return ["eval", "--spec", CAR, "--gt", str(paths["ground_truth"]), "--pred", str(pred)]
+
+    def test_csv_needs_an_out_file(self, tmp_path, capsys):
+        assert main(self._eval_argv(tmp_path) + ["--format", "csv"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "psrkit: --format csv needs --out\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("flags", [[], ["--format", "json"]])
+    def test_json_goes_to_stdout_without_out(self, tmp_path, capsys, flags):
+        assert main(self._eval_argv(tmp_path) + flags) == 0
+        row = json.loads(capsys.readouterr().out)
+        assert (row["pos"], row["f1"], row["tau_s"]) == (1.0, 1.0, 0.0)
+
 
 class TestSimulateCommand:
     def test_same_seed_is_byte_identical(self, tmp_path):
@@ -483,6 +501,24 @@ class TestSimulateCommand:
         assert f"{config}: invalid simulation config:" in err
         assert "must be finite" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "fields", ['{"fps": 1e308}', '{"dwell_mean_s": 1e308}', '{"fps": 1e-320}', '{"fps": 1e30}']
+    )
+    def test_recording_past_the_last_frame_index_is_rejected(self, tmp_path, capsys, fields):
+        # these once exited 2 (round of an infinite time) or wrote without bound
+        config = tmp_path / "cfg.json"
+        config.write_text(fields, encoding="utf-8")
+        out = tmp_path / "sim"
+        rc = main(
+            ["simulate", "--spec", CAR, "--seed", "1", "--config", str(config),
+             "--out-dir", str(out)]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "put the recording's last frame past index 999999999999999999" in err
+        assert f"fps {json.loads(fields).get('fps', 10.0)}," in err
+        assert not list(tmp_path.rglob("*.stream.jsonl"))
 
     @pytest.mark.parametrize(
         "seed, shown", [("NaN", "nan"), ("Infinity", "inf"), ("-Infinity", "-inf")]

@@ -17,6 +17,7 @@ from helpers import (
     reference_write_stream,
 )
 from psrkit.baselines import BaselineConfig, Detection, DetectionFrame, Variant, run_baseline
+from psrkit import formats
 from psrkit.cli import main
 from psrkit.formats import (
     BUILTIN_PROCEDURES,
@@ -39,7 +40,7 @@ from psrkit.formats import (
     write_stream,
 )
 from psrkit.metrics import MetricsReport
-from psrkit.model import AssemblyState, EventSource, StepSequence, Transition
+from psrkit.model import AssemblyState, EventSource, StepSequence, Transition, parse_state_text
 from psrkit.simulate import ErrorInjection, SimConfig, simulate
 from test_acceptance import mutate_bytes
 
@@ -730,6 +731,66 @@ class TestStepRowFastPath:
             assert len(rows) > 1 and all(_STEP_ROW.fullmatch(row) for row in rows), path
         # the ground truth holds an incorrect step, so -1 states are checked too
         assert b"-1" in paths[0].read_bytes()
+
+
+class TestSharedStateMemo:
+    """One memo per file serves undecoded (bytes) and decoded (str) state texts alike."""
+
+    WRITER = {
+        "stream": '{"frame":%d,"detections":[{"state":"1,0,0","conf":0.5}]}',
+        "ground_truth": '{"frame":%d,"state":"1,0,0"}',
+    }
+    DECODED = {  # a space after a colon, and swapped keys: both miss the row patterns
+        "stream": ('{"frame":%d,"detections":[{"state": "1,0,0","conf":0.5}]}',
+                   '{"frame":%d,"detections":[{"conf":0.5,"state":"1,0,0"}]}'),
+        "ground_truth": ('{"frame": %d,"state":"1,0,0"}', '{"state":"1,0,0","frame":%d}'),
+    }
+    PATTERN = {"stream": _STREAM_ROW, "ground_truth": _STEP_ROW}
+
+    @staticmethod
+    def write(path, kind, rows):
+        manifest = {"format_version": "1.0.0", "kind": kind, "recording_id": "rec", "fps": FPS}
+        path.write_text("\n".join([json.dumps(manifest), *rows]) + "\n", encoding="utf-8")
+
+    @pytest.mark.parametrize("kind", ["stream", "ground_truth"])
+    @pytest.mark.parametrize("writer_first", [True, False])
+    def test_one_parse_and_one_state_per_text(self, tmp_path, monkeypatch, kind, writer_first):
+        shapes = [self.WRITER[kind], *self.DECODED[kind]]
+        if not writer_first:
+            shapes.reverse()
+        rows = [shape % frame for frame, shape in enumerate(shapes)]
+        assert [bool(self.PATTERN[kind].fullmatch(row.encode())) for row in rows] == [
+            shape is self.WRITER[kind] for shape in shapes
+        ]
+        path = tmp_path / "rows.jsonl"
+        self.write(path, kind, rows)
+        parsed = []
+
+        def counting_parse(text):
+            parsed.append(text)
+            return parse_state_text(text)
+
+        monkeypatch.setattr(formats, "parse_state_text", counting_parse)
+        records = list(formats._read_rows(path, kind)[1])
+        if kind == "stream":
+            states = [frame.detections[0].state for frame in records]
+        else:
+            states = [state for _, _, _, state, _ in records]
+        assert parsed == ["1,0,0"]
+        assert len(states) == 3 and all(state is states[0] for state in states)
+        assert states[0] == AssemblyState.from_values([1, 0, 0])
+
+    @pytest.mark.parametrize("kind", ["stream", "ground_truth"])
+    @pytest.mark.parametrize("value", [5, ["1"]])
+    def test_non_string_state_after_a_writer_row(self, tmp_path, kind, value):
+        bad = {"frame": 1, "detections": [{"state": value, "conf": 0.5}]}
+        if kind == "ground_truth":
+            bad = {"frame": 1, "state": value}
+        path = tmp_path / "rows.jsonl"
+        self.write(path, kind, [self.WRITER[kind] % 0, json.dumps(bad)])
+        with pytest.raises(FormatError) as err:
+            list(formats._read_rows(path, kind)[1])
+        assert (err.value.message, err.value.line) == ("'state' must be a string", 3)
 
 
 class TestProcedureFiles:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 import tracemalloc
 from collections import Counter
@@ -199,6 +200,19 @@ class TestSampleExecution:
         starts = [start for start, _ in timeline]
         assert starts[0] == 0
         assert [e.frame for e in sequence.events] == starts[1:]
+
+
+    def test_last_frame_index_bound_is_exact(self):
+        # one action at dwell 1 s: its frame and the trailing dwell are each
+        # round(fps), so the last frame index is 2 * round(fps) - 1
+        spec = linear_spec(1)
+        at_bound = SimConfig(fps=5e17, dwell_mean_s=1.0, dwell_jitter_s=0.0)
+        sequence, _ = sample_execution(spec, cfg=at_bound)
+        assert sequence.events[0].frame == 5 * 10**17
+        past = SimConfig(fps=math.nextafter(5e17, math.inf), dwell_mean_s=1.0, dwell_jitter_s=0.0)
+        with pytest.raises(ValueError) as err:
+            sample_execution(spec, cfg=past)
+        assert str(err.value).startswith(f"fps {past.fps}, dwell_mean_s 1.0")
 
 
 class TestRenderStream:
