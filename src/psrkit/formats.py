@@ -17,7 +17,7 @@ import json
 import math
 import re
 from collections.abc import Iterator
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -167,57 +167,6 @@ _STEP_ROW = re.compile(
 _ROW_MATCHERS = {"stream": _STREAM_ROW.fullmatch, "ground_truth": _STEP_ROW.fullmatch}
 
 
-def _iter_jsonl(path, kind):
-    """Yield the file's checked manifest, then (line_number, row) per non-blank line.
-
-    The file is read one line at a time and closed when the generator
-    ends, fails or is closed. Lines are numbered as str.splitlines()
-    numbers the whole text; a UTF-8 error names the newline-delimited
-    line that holds the bad byte. A line is parsed by json.loads, and an
-    invalid one raises json.loads's message. A line after the manifest
-    that the writer's row pattern of its kind matches is not decoded:
-    its match groups, (frame, state, conf) bytes, stand for the row.
-    """
-    try:
-        handle = open(path, "rb")
-    except OSError as exc:
-        raise FormatError(f"cannot read file: {exc.strerror or exc}", path) from None
-    with handle:
-        number = 0
-        manifest = fast = None  # the manifest line always takes the full parse
-        for physical, raw_bytes in enumerate(handle, start=1):
-            match = fast and fast(raw_bytes)
-            if match:
-                number += 1
-                yield number, match.groups()
-                continue
-            try:
-                text = raw_bytes.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(
-                    f"file is not valid UTF-8: {exc.reason}", path, physical
-                ) from None
-            # splitlines also breaks on \r, \x85, \u2028 and the like
-            for raw in text.splitlines():
-                number += 1
-                if not raw.strip():
-                    continue
-                try:
-                    obj = json.loads(raw)
-                except (ValueError, RecursionError) as exc:
-                    # too deep a nesting or too long an integer has no .msg
-                    message = getattr(exc, "msg", exc)
-                    raise FormatError(f"invalid JSON: {message}", path, number) from None
-                if manifest is None:
-                    manifest = _parse_manifest(obj, kind, path)
-                    fast = _ROW_MATCHERS.get(manifest.kind)
-                    yield manifest
-                else:
-                    yield number, obj
-        if manifest is None:
-            raise FormatError("file is empty, expected a manifest line", path, 1)
-
-
 def _read_rows(path, kind, spec: ProcedureSpec | None = None):
     """A stream or step file's checked manifest and lazily read records; kind None: any."""
     records = _state_rows(path, kind, spec)
@@ -225,23 +174,25 @@ def _read_rows(path, kind, spec: ProcedureSpec | None = None):
 
 
 def _state_rows(path, kind, spec: ProcedureSpec | None):
-    """Yield a stream or step file's manifest, then one record per row.
+    """Yield a stream or step file's checked manifest, then one record per row.
 
-    This is the one row loop of both line-oriented kinds. Each row's
-    'frame' must be a non-negative integer, strictly increasing in a
-    stream and non-decreasing in a step file, with a finite ``frame /
-    fps``. An undecoded stream row becomes its DetectionFrame here; any
-    other row goes to its kind's builder. ``state_of(text, line)``
-    parses and width-checks each distinct state text once per file,
-    whether it comes as str or as an undecoded row's bytes. The width is
-    the procedure's when one is given, otherwise the first state's.
+    This is the one row loop of both line-oriented kinds. The file is read
+    one line at a time and closed when the generator ends, fails or is
+    closed. Lines are numbered as str.splitlines() numbers the whole text;
+    a UTF-8 error names the newline-delimited line that holds the bad byte.
+    A line after the manifest that its writer's row pattern matches is
+    built in the branch that matched it; every other line is parsed by
+    json.loads, which names an invalid one, and goes to its kind's builder.
+    Each row's 'frame' must be a non-negative integer, strictly increasing
+    in a stream and non-decreasing in a step file, with a finite ``frame /
+    fps``. ``state_of(text, line)`` parses and width-checks each distinct
+    state text once per file, whether it comes as str or as a matched
+    row's bytes: against the procedure's width when one is given,
+    otherwise the first state's.
     """
-    rows = _iter_jsonl(path, kind)
-    manifest = next(rows)
-    yield manifest
-    # str keys from decoded rows, bytes keys from undecoded ones; a bytes
-    # key goes in first, as the str of the same text hashes alike and
-    # would otherwise cost each later bytes lookup an extra comparison
+    # str keys from decoded rows, bytes keys from matched ones; a bytes key
+    # goes in first, as the str of the same text hashes alike and would
+    # otherwise cost each later bytes lookup an extra comparison
     states: dict[str | bytes, AssemblyState] = {}
     width = spec.n_components if spec is not None else None
 
@@ -272,52 +223,88 @@ def _state_rows(path, kind, spec: ProcedureSpec | None):
         states[key] = states[text] = state
         return state
 
-    stream = manifest.kind == "stream"
-    noun = "frame" if stream else "state"
-    record = _frame_record if stream else _step_record
-    stream_row = tuple if stream else None  # a step row's tuple goes to _step_record
-    fps, inf = manifest.fps, math.inf
-    last_frame = -1
-    for line, obj in rows:
-        fast = obj.__class__ is stream_row  # a row in write_stream's shape, see _iter_jsonl
-        if fast:
-            frame, text, conf = obj
-            frame = int(frame)
-        elif obj.__class__ is tuple:  # a row in write_ground_truth's shape
-            frame = int(obj[0])
-        elif not isinstance(obj, dict):
-            raise FormatError(f"{noun} record must be a JSON object", path, line)
-        else:
-            frame = obj.get("frame")
-            if frame.__class__ is not int:  # so a bool goes on to _as_int, which rejects it
-                frame = _as_int(frame, "'frame'", path, line)
-        if frame < 0:
-            raise FormatError(f"frame index must be non-negative, got {frame}", path, line)
-        if frame <= last_frame and (stream or frame < last_frame):
-            raise FormatError(
-                f"frame {frame} out of order (previous was {last_frame})", path, line
-            )
-        last_frame = frame
-        try:
-            time_s = frame / fps
-        except OverflowError:  # a frame index past the float range
-            time_s = inf
-        if time_s == inf:  # frame and fps are finite and non-negative, so never NaN
-            raise FormatError(f"frame / fps is not a finite time (fps {fps})", path, line)
-        if not fast:
-            yield record(path, line, frame, time_s, obj, state_of)
-        elif text is None:
-            yield DetectionFrame(frame, time_s, ())
-        else:
-            state = states.get(text)
-            if state is None:
-                state = state_of(text, line)
+    try:
+        handle = open(path, "rb")
+    except OSError as exc:
+        raise FormatError(f"cannot read file: {exc.strerror or exc}", path) from None
+    inf = math.inf
+    line, last_frame = 0, -1
+    manifest = fast = None  # the manifest line always takes the full parse
+    with handle:
+        for physical, raw_bytes in enumerate(handle, start=1):
+            match = fast and fast(raw_bytes)
+            if match:  # at most 18 frame digits: never negative, and / fps cannot raise
+                line += 1
+                frame, text, conf = row = match.groups()
+                frame = int(frame)
+                if frame <= last_frame and (stream or frame < last_frame):
+                    raise FormatError(
+                        f"frame {frame} out of order (previous was {last_frame})", path, line
+                    )
+                last_frame = frame
+                time_s = frame / fps
+                if time_s == inf:
+                    raise FormatError(f"frame / fps is not a finite time (fps {fps})", path, line)
+                if not stream:
+                    yield _step_record(path, line, frame, time_s, row, state_of)
+                elif text is None:
+                    yield DetectionFrame(frame, time_s, ())
+                else:
+                    state = states.get(text)
+                    if state is None:
+                        state = state_of(text, line)
+                    try:
+                        detection = Detection(state, float(conf))
+                    except ValueError as exc:
+                        _as_number(float(conf), "'conf'", path, line)  # names NaN and inf
+                        raise FormatError(str(exc), path, line) from None
+                    yield DetectionFrame(frame, time_s, (detection,))
+                continue
             try:
-                detection = Detection(state, float(conf))
-            except ValueError as exc:
-                _as_number(float(conf), "'conf'", path, line)  # names NaN and inf
-                raise FormatError(str(exc), path, line) from None
-            yield DetectionFrame(frame, time_s, (detection,))
+                text = raw_bytes.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(
+                    f"file is not valid UTF-8: {exc.reason}", path, physical
+                ) from None
+            # splitlines also breaks on \r, \x85, \u2028 and the like
+            for raw in text.splitlines():
+                line += 1
+                if not raw.strip():
+                    continue
+                try:
+                    obj = json.loads(raw)
+                except (ValueError, RecursionError) as exc:
+                    # too deep a nesting or too long an integer has no .msg
+                    message = getattr(exc, "msg", exc)
+                    raise FormatError(f"invalid JSON: {message}", path, line) from None
+                if manifest is None:
+                    manifest = _parse_manifest(obj, kind, path)
+                    stream, fps = manifest.kind == "stream", manifest.fps
+                    noun, record = ("frame", _frame_record) if stream else ("state", _step_record)
+                    fast = _ROW_MATCHERS.get(manifest.kind)
+                    yield manifest
+                    continue
+                if not isinstance(obj, dict):
+                    raise FormatError(f"{noun} record must be a JSON object", path, line)
+                frame = obj.get("frame")
+                if frame.__class__ is not int:  # so a bool goes on to _as_int, which rejects it
+                    frame = _as_int(frame, "'frame'", path, line)
+                if frame < 0:
+                    raise FormatError(f"frame index must be non-negative, got {frame}", path, line)
+                if frame <= last_frame and (stream or frame < last_frame):
+                    raise FormatError(
+                        f"frame {frame} out of order (previous was {last_frame})", path, line
+                    )
+                last_frame = frame
+                try:
+                    time_s = frame / fps
+                except OverflowError:  # a frame index past the float range
+                    time_s = inf
+                if time_s == inf:  # frame and fps are finite and non-negative, so never NaN
+                    raise FormatError(f"frame / fps is not a finite time (fps {fps})", path, line)
+                yield record(path, line, frame, time_s, obj, state_of)
+        if manifest is None:
+            raise FormatError("file is empty, expected a manifest line", path, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -481,14 +468,14 @@ def _writable_base_state(
 
 
 def write_ground_truth(
-    path,
-    sequence: StepSequence,
-    spec: ProcedureSpec,
-    base_state: AssemblyState | None = None,
-    source: EventSource | None = None,
+    path, sequence: StepSequence, spec: ProcedureSpec, source: EventSource | None = None
 ) -> None:
-    """Write a step sequence as state rows (inverse of read_ground_truth)."""
-    base_state = _writable_base_state(sequence, base_state or spec.initial_state)
+    """Write a step sequence as state rows (inverse of read_ground_truth).
+
+    Each row is one format string; json.dumps of the frame and the conf
+    writes a bool, an int, inf or NaN as a row dict's json.dumps would.
+    """
+    state = _writable_base_state(sequence, spec.initial_state)
     if source is None:
         source = sequence.events[0].source if sequence.events else EventSource.GROUND_TRUTH
     manifest = FileManifest(
@@ -499,17 +486,11 @@ def write_ground_truth(
     )
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(manifest.to_json() + "\n")
-        state = base_state
-        base_row = {"frame": 0, "state": serialize_state(state)}
-        handle.write(json.dumps(base_row, separators=(",", ":")) + "\n")
+        handle.write('{"frame":0,"state":"%s"}\n' % serialize_state(state))
         for event in sequence.events:
             state = apply_transition(state, event.component, event.transition)
-            row = {
-                "frame": event.frame,
-                "state": serialize_state(state),
-                "conf": event.confidence,
-            }
-            handle.write(json.dumps(row, separators=(",", ":")) + "\n")
+            row = (json.dumps(event.frame), serialize_state(state), json.dumps(event.confidence))
+            handle.write('{"frame":%s,"state":"%s","conf":%s}\n' % row)
 
 
 # ---------------------------------------------------------------------------
@@ -653,18 +634,7 @@ def load_builtin_procedure(name: str) -> ProcedureSpec:
 # metric reports
 
 
-REPORT_COLUMNS = (
-    "recording_id",
-    "pos",
-    "precision",
-    "recall",
-    "f1",
-    "tau_s",
-    "tp",
-    "fp",
-    "fn",
-    "has_errors",
-)
+REPORT_COLUMNS = tuple(f.name for f in fields(MetricsReport))
 
 
 def report_to_row(report: MetricsReport) -> dict:
@@ -742,9 +712,7 @@ def write_scenario(
         FileManifest(kind="stream", recording_id=recording_id, fps=fps),
         scenario.stream,
     )
-    write_ground_truth(
-        gt_path, scenario.ground_truth, spec, base_state=scenario.timeline[0][1]
-    )
+    write_ground_truth(gt_path, scenario.ground_truth, spec)
     document = {
         "format_version": FORMAT_VERSION,
         "kind": "scenario",

@@ -8,7 +8,14 @@ import random
 from itertools import permutations
 
 from psrkit.baselines import BaselineConfig, Variant
-from psrkit.formats import FormatError, _as_int, _as_number, _parse_manifest
+from psrkit.formats import (
+    FileManifest,
+    FormatError,
+    _as_int,
+    _as_number,
+    _parse_manifest,
+    _writable_base_state,
+)
 from psrkit.model import (
     AssemblyState,
     EventSource,
@@ -356,6 +363,28 @@ def reference_write_stream(path, manifest, frames) -> None:
                     record["box"] = list(det.box)
                 detections.append(record)
             row = {"frame": frame.frame, "detections": detections}
+            handle.write(json.dumps(row, separators=(",", ":")) + "\n")
+
+
+def reference_write_ground_truth(path, sequence, spec: ProcedureSpec, source=None) -> None:
+    """A step file written the plain way: one row dict and json.dumps per row.
+
+    The step writer before it formatted its rows itself; it must write
+    the same bytes for the same sequence.
+    """
+    if source is None:
+        source = sequence.events[0].source if sequence.events else EventSource.GROUND_TRUTH
+    manifest = FileManifest(
+        kind="ground_truth", recording_id=sequence.recording_id, fps=sequence.fps, source=source
+    )
+    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+        handle.write(manifest.to_json() + "\n")
+        state = _writable_base_state(sequence, spec.initial_state)
+        base_row = {"frame": 0, "state": serialize_state(state)}
+        handle.write(json.dumps(base_row, separators=(",", ":")) + "\n")
+        for step in sequence.events:
+            state = apply_transition(state, step.component, step.transition)
+            row = {"frame": step.frame, "state": serialize_state(state), "conf": step.confidence}
             handle.write(json.dumps(row, separators=(",", ":")) + "\n")
 
 

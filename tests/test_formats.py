@@ -14,6 +14,7 @@ from helpers import (
     maintenance_spec,
     reference_read_ground_truth,
     reference_read_stream,
+    reference_write_ground_truth,
     reference_write_stream,
 )
 from psrkit.baselines import BaselineConfig, Detection, DetectionFrame, Variant, run_baseline
@@ -40,7 +41,14 @@ from psrkit.formats import (
     write_stream,
 )
 from psrkit.metrics import MetricsReport
-from psrkit.model import AssemblyState, EventSource, StepSequence, Transition, parse_state_text
+from psrkit.model import (
+    AssemblyState,
+    EventSource,
+    StepEvent,
+    StepSequence,
+    Transition,
+    parse_state_text,
+)
 from psrkit.simulate import ErrorInjection, SimConfig, simulate
 from test_acceptance import mutate_bytes
 
@@ -126,6 +134,36 @@ class TestStreamRoundTrip:
         directory = tmp_path_factory.mktemp("writers")
         write_stream(directory / "new.jsonl", stream_manifest(), iter(frames))
         reference_write_stream(directory / "old.jsonl", stream_manifest(), frames)
+        assert (directory / "new.jsonl").read_bytes() == (directory / "old.jsonl").read_bytes()
+
+    @given(
+        steps=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),
+                st.sampled_from([int, bool]),
+                st.sampled_from(list(Transition)),
+                st.one_of(
+                    st.floats(min_value=0.0),
+                    st.sampled_from([0, 1, 7, True, False, math.inf, math.nan]),
+                ),
+            ),
+            max_size=6,
+        ),
+        source=st.sampled_from([None, *EventSource]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_step_writer_same_bytes_as_reference(self, tmp_path_factory, steps, source):
+        events, frame = [], 0
+        for component, (gap, frame_type, transition, conf) in enumerate(steps):
+            frame += gap
+            number = frame_type(frame) if frame <= 1 else frame
+            action_id = f"{transition.value}:{component}"
+            events.append(StepEvent(action_id, component, transition, frame / FPS, number, conf))
+        sequence = StepSequence("rec", FPS, tuple(events))
+        spec = linear_spec(6)
+        directory = tmp_path_factory.mktemp("step-writers")
+        write_ground_truth(directory / "new.jsonl", sequence, spec, source=source)
+        reference_write_ground_truth(directory / "old.jsonl", sequence, spec, source=source)
         assert (directory / "new.jsonl").read_bytes() == (directory / "old.jsonl").read_bytes()
 
 
@@ -370,10 +408,14 @@ class TestAgainstReferenceReader:
         self.agree(path, car_spec if with_spec else None)
 
     def read_rows(self, tmp_path, *rows: str | bytes):
+        """Read the manifest and the rows, one a line.
+
+        A row that starts with \\r shares the line before it, after that \\r.
+        """
         path = tmp_path / "s.jsonl"
         lines = [MANIFEST_LINE.encode()]
         lines += [row if isinstance(row, bytes) else row.encode() for row in rows]
-        path.write_bytes(b"\n".join(lines) + b"\n")
+        path.write_bytes(b"\n".join(lines).replace(b"\n\r", b"\r") + b"\n")
         return self.agree(path)
 
     @pytest.mark.parametrize(
@@ -383,8 +425,10 @@ class TestAgainstReferenceReader:
             (ROW + " \t", ((STATE, 0.5, None),)),
             (ROW.replace("0.5", "1"), ((STATE, 1.0, None),)),
             ('{"frame":0}', ()),
+            ("\r" + ROW, ((STATE, 0.5, None),)),
         ],
-        ids=["leading-spaces", "trailing-spaces", "integer-conf", "no-detections"],
+        ids=["leading-spaces", "trailing-spaces", "integer-conf", "no-detections",
+             "on-the-manifest-line"],
     )
     def test_accepted_rows(self, tmp_path, row, detections):
         _, frames = self.read_rows(tmp_path, row)
@@ -406,9 +450,12 @@ class TestAgainstReferenceReader:
                 (ROW.replace('"frame":0', '"frame":' + "9" * 400),),
                 ("frame / fps is not a finite time (fps 10.0)", 2),
             ),
+            (("\r" + ROW.replace("0.5", "1.7"),),
+             ("detection confidence must be in [0, 1], got 1.7", 2)),
+            (("  " + ROW, ROW), ("frame 0 out of order (previous was 0)", 3)),
         ],
         ids=["extra-data", "bom", "boolean-conf", "boolean-frame", "null-detections",
-             "frame-time-overflow"],
+             "frame-time-overflow", "on-the-manifest-line", "writer-row-after-decoded-row"],
     )
     def test_rejected_rows(self, tmp_path, rows, expected):
         assert self.read_rows(tmp_path, *rows) == expected
@@ -693,11 +740,15 @@ class TestStepRowFastPath:
              ("component status must be -1, 0 or 1, got 2", 3)),
             ('{"frame":7,"state":"1,0","conf":0.5}',
              ("state has 2 components, procedure 'chain' expects 3", 3)),
+            ('{"frame": 7,"state":"0,0,0"}\n{"frame":7,"state":"1,0,0","conf":0.5}', (7, 0.5)),
+            ('{"frame": 8,"state":"0,0,0"}\n{"frame":7,"state":"1,0,0","conf":0.5}',
+             ("frame 7 out of order (previous was 8)", 4)),
         ],
         ids=["writer-row", "no-conf", "integer-conf", "negative-zero-conf", "exponent-conf",
              "19-digit-frame", "escaped-state", "extra-key", "spaced-row", "trailing-cr",
              "leading-zero-frame", "negative-conf", "overflowing-conf", "spaced-state",
-             "bad-state-before-bad-conf", "narrow-state"],
+             "bad-state-before-bad-conf", "narrow-state", "same-frame-after-decoded-row",
+             "earlier-frame-after-decoded-row"],
     )
     def test_edge_rows(self, tmp_path, row, expected):
         """Each row at the pattern's edge gives the slow path's event or error."""
