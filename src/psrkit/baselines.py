@@ -84,22 +84,25 @@ class DetectionFrame:
 
 @dataclass(frozen=True)
 class BaselineConfig:
-    """Recognizer variant plus its thresholds.
+    """Recognizer variant plus its settings; a None setting takes its default.
 
-    detection_threshold gates B1's per-frame decision; B2 and B3 ignore
-    it and use the accumulation threshold and decay instead.
+    Every variant decides with one threshold: B1 on the top detection's
+    confidence (default 0.5), B2 and B3 on a component's accumulated
+    confidence (default 8.0). decay (default 0.75) is B2/B3's per-frame
+    accumulator decay; B1 ignores it.
     """
 
     variant: Variant
-    detection_threshold: float = 0.5
-    accumulation_threshold: float = 8.0
-    decay: float = 0.75
+    threshold: float | None = None
+    decay: float | None = None
 
     def __post_init__(self):
-        for name in ("detection_threshold", "accumulation_threshold"):
-            value = getattr(self, name)
-            if not 0 <= value < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0, got {value}")
+        if self.threshold is None:
+            object.__setattr__(self, "threshold", 0.5 if self.variant is Variant.B1 else 8.0)
+        if self.decay is None:
+            object.__setattr__(self, "decay", 0.75)
+        if not 0 <= self.threshold < math.inf:
+            raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
         if not 0.0 < self.decay <= 1.0:
             raise ValueError("decay must be in (0, 1]")
 
@@ -192,7 +195,7 @@ class StepRecognizer:
     def _process_b1(
         self, frame: DetectionFrame, statuses: tuple[int, ...], confidence: float
     ) -> list[StepEvent]:
-        if confidence < self.config.detection_threshold:
+        if confidence < self.config.threshold:
             return []
         belief = self._belief
         emitted: list[StepEvent] = []
@@ -209,7 +212,7 @@ class StepRecognizer:
     ) -> list[StepEvent]:
         belief = list(self._belief)
         confs = self._confs
-        threshold = self.config.accumulation_threshold
+        threshold = self.config.threshold
         decay = self._decay
         reachable = self._reachable
         emitted: list[StepEvent] = []

@@ -68,16 +68,7 @@ def cmd_validate(args) -> int:
 
 def cmd_run(args) -> int:
     spec = load_spec(args.spec)
-    variant = Variant(args.baseline)
-    overrides = {}
-    if args.threshold is not None:
-        if variant is Variant.B1:
-            overrides["detection_threshold"] = args.threshold
-        else:
-            overrides["accumulation_threshold"] = args.threshold
-    if args.decay is not None:
-        overrides["decay"] = args.decay
-    config = BaselineConfig(variant=variant, **overrides)
+    config = BaselineConfig(Variant(args.baseline), args.threshold, args.decay)
     # frames are parsed as the recognizer consumes them
     manifest, frames = iter_stream_file(args.stream, spec)
     sequence = run_baseline(config, spec, frames, manifest.fps, manifest.recording_id)

@@ -235,7 +235,7 @@ def _state_rows(path, kind, spec: ProcedureSpec | None):
             match = fast and fast(raw_bytes)
             if match:  # at most 18 frame digits: never negative, and / fps cannot raise
                 line += 1
-                frame, text, conf = row = match.groups()
+                frame, text, conf = match.groups()
                 frame = int(frame)
                 if frame <= last_frame and (stream or frame < last_frame):
                     raise FormatError(
@@ -246,7 +246,8 @@ def _state_rows(path, kind, spec: ProcedureSpec | None):
                 if time_s == inf:
                     raise FormatError(f"frame / fps is not a finite time (fps {fps})", path, line)
                 if not stream:
-                    yield _step_record(path, line, frame, time_s, row, state_of)
+                    conf = 1.0 if conf is None else float(conf)
+                    yield _step_record(path, line, frame, time_s, text, conf, state_of)
                 elif text is None:
                     yield DetectionFrame(frame, time_s, ())
                 else:
@@ -280,7 +281,7 @@ def _state_rows(path, kind, spec: ProcedureSpec | None):
                 if manifest is None:
                     manifest = _parse_manifest(obj, kind, path)
                     stream, fps = manifest.kind == "stream", manifest.fps
-                    noun, record = ("frame", _frame_record) if stream else ("state", _step_record)
+                    noun = "frame" if stream else "state"
                     fast = _ROW_MATCHERS.get(manifest.kind)
                     yield manifest
                     continue
@@ -302,7 +303,11 @@ def _state_rows(path, kind, spec: ProcedureSpec | None):
                     time_s = inf
                 if time_s == inf:  # frame and fps are finite and non-negative, so never NaN
                     raise FormatError(f"frame / fps is not a finite time (fps {fps})", path, line)
-                yield record(path, line, frame, time_s, obj, state_of)
+                if stream:
+                    yield _frame_record(path, line, frame, time_s, obj, state_of)
+                    continue
+                text, conf = obj.get("state"), obj.get("conf", 1.0)
+                yield _step_record(path, line, frame, time_s, text, conf, state_of)
         if manifest is None:
             raise FormatError("file is empty, expected a manifest line", path, 1)
 
@@ -390,12 +395,8 @@ def write_stream(path, manifest: FileManifest, frames) -> None:
 # step sequences (ground truth and predictions share the format)
 
 
-def _step_record(path, line, frame, time_s, obj, state_of):
+def _step_record(path, line, frame, time_s, text, conf, state_of):
     """(line, frame, time_s, state, confidence) for one row of a step file."""
-    if obj.__class__ is tuple:  # _STEP_ROW's (frame, state, conf) bytes
-        text, conf = obj[1], 1.0 if obj[2] is None else float(obj[2])
-    else:
-        text, conf = obj.get("state"), obj.get("conf", 1.0)
     state = state_of(text, line)
     if conf.__class__ is not float or not 0.0 <= conf < math.inf:
         conf = _as_number(conf, "'conf'", path, line)  # names NaN and inf
@@ -452,18 +453,14 @@ def _writable_base_state(
     the base row keeps the change-per-row file format lossless.
     """
     statuses = list(base_state.statuses)
-    seen: set[int] = set()
-    fallback = {
-        Transition.INSTALL: ComponentStatus.ABSENT,
-        Transition.REMOVE: ComponentStatus.INSTALLED,
-        Transition.INCORRECT: ComponentStatus.ABSENT,
-    }
+    firsts: dict[int, Transition] = {}  # each component's first transition
     for event in sequence.events:
-        if event.component in seen:
-            continue
-        seen.add(event.component)
-        if statuses[event.component] == transition_target(event.transition):
-            statuses[event.component] = fallback[event.transition]
+        firsts.setdefault(event.component, event.transition)
+    absent = ComponentStatus.ABSENT
+    for component, transition in firsts.items():
+        target = transition_target(transition)
+        if statuses[component] == target:  # the nudge is a status the event can leave
+            statuses[component] = ComponentStatus.INSTALLED if target is absent else absent
     return AssemblyState(tuple(statuses))
 
 

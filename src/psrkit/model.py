@@ -10,6 +10,7 @@ states tells you which procedure steps were completed in between.
 from __future__ import annotations
 
 import enum
+import sys
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -173,7 +174,7 @@ class ProcedureSpec:
 
 @dataclass(frozen=True)
 class StepEvent:
-    """One recognized or annotated step completion."""
+    """One recognized or annotated step completion, as a step file can hold it."""
 
     action_id: str
     component: int
@@ -184,12 +185,19 @@ class StepEvent:
     source: EventSource = EventSource.RECOGNIZED
 
     def __post_init__(self):
-        if self.frame < 0:
-            raise ValueError(f"frame must be non-negative, got {self.frame}")
+        frame, confidence = self.frame, self.confidence
+        if frame.__class__ is bool or not isinstance(frame, int):
+            raise ValueError(f"frame must be an integer, got {frame!r}")
+        if frame < 0:
+            raise ValueError(f"frame must be non-negative, got {frame}")
         if self.time_s < 0:
             raise ValueError(f"time_s must be non-negative, got {self.time_s}")
-        if self.confidence < 0:
-            raise ValueError(f"confidence must be >= 0, got {self.confidence}")
+        # within a float's range: a larger int is written as digits that read back as inf
+        number = confidence.__class__ is not bool and isinstance(confidence, (int, float))
+        if not number or not abs(confidence) <= sys.float_info.max:
+            raise ValueError(f"confidence must be a finite number, got {confidence!r}")
+        if confidence < 0:
+            raise ValueError(f"confidence must be >= 0, got {confidence}")
 
 
 @dataclass(frozen=True)

@@ -204,7 +204,7 @@ def reference_recognise(config: BaselineConfig, spec: ProcedureSpec, frames) -> 
             if belief is None:
                 belief = detected
             elif config.variant is Variant.B1:
-                if top.confidence >= config.detection_threshold:
+                if top.confidence >= config.threshold:
                     changes = [
                         (i, value, top.confidence)
                         for i, value in enumerate(detected)
@@ -218,7 +218,7 @@ def reference_recognise(config: BaselineConfig, spec: ProcedureSpec, frames) -> 
                         continue
                     confs[i] += top.confidence
                     candidate = tuple(belief[:i] + [value] + belief[i + 1 :])
-                    if confs[i] > config.accumulation_threshold and (
+                    if confs[i] > config.threshold and (
                         not b3 or candidate in reachable
                     ):
                         changes.append((i, value, confs[i]))

@@ -295,9 +295,7 @@ class TestAgainstReference:
         )
         rows = data.draw(st.lists(st.lists(detection, max_size=2), min_size=20, max_size=60))
         frames = stream_of(rows)
-        config = BaselineConfig(
-            variant, detection_threshold=threshold, accumulation_threshold=threshold, decay=decay
-        )
+        config = BaselineConfig(variant, threshold=threshold, decay=decay)
         recognizer = StepRecognizer(config, spec)
         for current, (events, confidences, belief) in zip(
             frames, reference_recognise(config, spec, frames)
@@ -540,7 +538,7 @@ class TestConfigValidation:
             BaselineConfig(Variant.B2, decay=1.5)
 
     def test_defaults_match_algorithms(self):
+        assert BaselineConfig(Variant.B1).threshold == 0.5
         config = BaselineConfig(Variant.B2)
-        assert config.detection_threshold == 0.5
-        assert config.accumulation_threshold == 8.0
+        assert config.threshold == 8.0
         assert config.decay == 0.75

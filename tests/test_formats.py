@@ -44,6 +44,7 @@ from psrkit.metrics import MetricsReport
 from psrkit.model import (
     AssemblyState,
     EventSource,
+    ProcedureSpec,
     StepEvent,
     StepSequence,
     Transition,
@@ -140,11 +141,10 @@ class TestStreamRoundTrip:
         steps=st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=2),
-                st.sampled_from([int, bool]),
                 st.sampled_from(list(Transition)),
                 st.one_of(
-                    st.floats(min_value=0.0),
-                    st.sampled_from([0, 1, 7, True, False, math.inf, math.nan]),
+                    st.floats(min_value=0.0, allow_infinity=False),
+                    st.sampled_from([0, 1, 7]),
                 ),
             ),
             max_size=6,
@@ -154,11 +154,10 @@ class TestStreamRoundTrip:
     @settings(max_examples=150, deadline=None)
     def test_step_writer_same_bytes_as_reference(self, tmp_path_factory, steps, source):
         events, frame = [], 0
-        for component, (gap, frame_type, transition, conf) in enumerate(steps):
+        for component, (gap, transition, conf) in enumerate(steps):
             frame += gap
-            number = frame_type(frame) if frame <= 1 else frame
             action_id = f"{transition.value}:{component}"
-            events.append(StepEvent(action_id, component, transition, frame / FPS, number, conf))
+            events.append(StepEvent(action_id, component, transition, frame / FPS, frame, conf))
         sequence = StepSequence("rec", FPS, tuple(events))
         spec = linear_spec(6)
         directory = tmp_path_factory.mktemp("step-writers")
@@ -453,9 +452,12 @@ class TestAgainstReferenceReader:
             (("\r" + ROW.replace("0.5", "1.7"),),
              ("detection confidence must be in [0, 1], got 1.7", 2)),
             (("  " + ROW, ROW), ("frame 0 out of order (previous was 0)", 3)),
+            (("[]",), ("frame record must be a JSON object", 2)),
+            (('{"frame":0,"detections":[1]}',), ("detection must be a JSON object", 2)),
         ],
         ids=["extra-data", "bom", "boolean-conf", "boolean-frame", "null-detections",
-             "frame-time-overflow", "on-the-manifest-line", "writer-row-after-decoded-row"],
+             "frame-time-overflow", "on-the-manifest-line", "writer-row-after-decoded-row",
+             "row-not-object", "detection-not-object"],
     )
     def test_rejected_rows(self, tmp_path, rows, expected):
         assert self.read_rows(tmp_path, *rows) == expected
@@ -665,6 +667,75 @@ class TestGroundTruthFiles:
         _, back = read_ground_truth(path, spec)
         assert back == empty
 
+    def test_manifest_without_rows_rejected(self, tmp_path):
+        path = tmp_path / "gt.jsonl"
+        write_lines(path, [GT_MANIFEST_LINE])
+        with pytest.raises(FormatError) as err:
+            read_ground_truth(path, linear_spec(3))
+        assert (err.value.message, err.value.line) == ("step file has no state rows", 1)
+
+    @pytest.mark.parametrize(
+        "start, transitions, base",
+        [
+            (1, [Transition.INSTALL], "0"),
+            (0, [Transition.REMOVE], "1"),
+            (-1, [Transition.INCORRECT], "0"),
+            (0, [Transition.INSTALL], "0"),
+            (0, [Transition.INSTALL, Transition.REMOVE], "0"),
+        ],
+        ids=["install-nudge", "remove-nudge", "incorrect-nudge", "no-nudge",
+             "first-event-decides"],
+    )
+    def test_base_row_nudge(self, tmp_path, start, transitions, base):
+        """The base row moves a component off the status its first event leads to."""
+        spec = ProcedureSpec("one", ("x",), (), AssemblyState.from_values([start]))
+        events = tuple(
+            StepEvent(spec.step_id(0, transition), 0, transition, frame / FPS, frame, 0.5)
+            for frame, transition in enumerate(transitions, start=3)
+        )
+        path = tmp_path / "gt.jsonl"
+        write_ground_truth(path, StepSequence("rec", FPS, events), spec)
+        assert path.read_text().splitlines()[1] == f'{{"frame":0,"state":"{base}"}}'
+        assert read_ground_truth(path, spec)[1].events == events
+
+    @given(
+        start=st.lists(st.sampled_from([-1, 0, 1]), min_size=3, max_size=3),
+        # frames far enough apart in time: StepSequence orders by (time_s, component)
+        first=st.sampled_from([0, 1, 10**12]),
+        steps=st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=2),
+                st.integers(min_value=0, max_value=2),
+                st.sampled_from(list(Transition)),
+                # ints up to 2**53 read back as equal floats
+                st.one_of(st.floats(min_value=0.0, allow_infinity=False),
+                          st.integers(min_value=0, max_value=2**53)),
+            ),
+            max_size=8,
+        ),
+        source=st.sampled_from(list(EventSource)),
+        fps=st.sampled_from([FPS, 1.0, 29.97, 1e-3]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_constructible_sequences_read_back_equal(
+        self, tmp_path_factory, start, first, steps, source, fps
+    ):
+        spec = ProcedureSpec(
+            "chain", ("x", "y", "z"), linear_spec(3).actions, AssemblyState.from_values(start)
+        )
+        events, frame, seen = [], first, set()
+        for gap, component, transition, conf in steps:
+            frame += gap
+            action_id = spec.step_id(component, transition)
+            if action_id not in seen:  # a sequence holds each step once
+                seen.add(action_id)
+                events.append(StepEvent(action_id, component, transition, frame / fps, frame,
+                                        conf, source))
+        sequence = StepSequence.from_events("rec", fps, events)
+        path = tmp_path_factory.mktemp("round-trip") / "gt.jsonl"
+        write_ground_truth(path, sequence, spec)
+        assert read_ground_truth(path, spec)[1] == sequence
+
 
 @pytest.fixture(scope="module")
 def car_prediction_bytes(car_spec, tmp_path_factory) -> bytes:
@@ -743,12 +814,13 @@ class TestStepRowFastPath:
             ('{"frame": 7,"state":"0,0,0"}\n{"frame":7,"state":"1,0,0","conf":0.5}', (7, 0.5)),
             ('{"frame": 8,"state":"0,0,0"}\n{"frame":7,"state":"1,0,0","conf":0.5}',
              ("frame 7 out of order (previous was 8)", 4)),
+            ("[]", ("state record must be a JSON object", 3)),
         ],
         ids=["writer-row", "no-conf", "integer-conf", "negative-zero-conf", "exponent-conf",
              "19-digit-frame", "escaped-state", "extra-key", "spaced-row", "trailing-cr",
              "leading-zero-frame", "negative-conf", "overflowing-conf", "spaced-state",
              "bad-state-before-bad-conf", "narrow-state", "same-frame-after-decoded-row",
-             "earlier-frame-after-decoded-row"],
+             "earlier-frame-after-decoded-row", "row-not-object"],
     )
     def test_edge_rows(self, tmp_path, row, expected):
         """Each row at the pattern's edge gives the slow path's event or error."""
@@ -894,6 +966,62 @@ class TestProcedureFiles:
         path.write_text(json.dumps(document), encoding="utf-8")
         with pytest.raises(FormatError, match="does not match its position"):
             read_procedure(path)
+
+    DOCUMENT = {
+        "format_version": "1.0.0",
+        "kind": "procedure",
+        "id": "two",
+        "components": [{"index": 0, "name": "x"}, {"index": 1, "name": "y"}],
+        "initial_state": "0,0",
+        "actions": [
+            {"id": "a", "component": 0, "transition": "install"},
+            {"id": "b", "component": 1, "transition": "install", "requires": ["a"]},
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda d: d.update(id=7), "procedure 'id' must be a string"),
+            (lambda d: d.update(components=[]), "'components' must be a non-empty list"),
+            (lambda d: d["components"][1].pop("name"), "component 1 must have a string 'name'"),
+            (lambda d: d.update(initial_state=0), "'initial_state' must be a state string"),
+            (lambda d: d.update(actions={}), "'actions' must be a list"),
+            (lambda d: d["actions"][1].update(id=None), "every action must have a string 'id'"),
+            (lambda d: d["actions"][1].update(requires="a"),
+             "action 'b': 'requires' must be a list of ids"),
+        ],
+        ids=["id", "components", "component-name", "initial-state", "actions", "action-id",
+             "requires"],
+    )
+    def test_document_errors(self, tmp_path, edit, message):
+        path = tmp_path / "proc.json"
+        document = json.loads(json.dumps(self.DOCUMENT))
+        edit(document)
+        path.write_text(json.dumps(document), encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            read_procedure(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            (None, "cannot read file: No such file or directory", None),
+            ('{"kind": "procedure",\n"id": "x",\n}',
+             "invalid JSON: Expecting property name enclosed in double quotes", 3),
+            ("[]", "document root must be a JSON object", None),
+            ('{"format_version": "1.0.0", "kind": "report"}',
+             "expected a procedure document, found 'report'", None),
+        ],
+        ids=["missing-file", "invalid-json", "root-not-object", "wrong-kind"],
+    )
+    def test_json_document_errors(self, tmp_path, text, message, line):
+        path = tmp_path / "proc.json"
+        if text is not None:
+            path.write_text(text, encoding="utf-8")
+        with pytest.raises(FormatError) as err:
+            read_procedure(path)
+        assert (err.value.message, err.value.line) == (message, line)
 
     def test_unknown_transition(self, tmp_path):
         path = tmp_path / "proc.json"
@@ -1055,6 +1183,11 @@ class TestValidateFile:
         assert main(["validate", str(path)]) == 1
         assert capsys.readouterr().err == f"{path}:1: {message}\n"
 
+    def test_manifest_must_be_an_object(self, tmp_path):
+        path = tmp_path / "s.jsonl"
+        write_lines(path, ["[]", '{"frame":0,"detections":[]}'])
+        assert validate_file(path) == [f"{path}:1: manifest line must be a JSON object"]
+
     @pytest.mark.parametrize(
         "name, edit, message",
         [
@@ -1067,9 +1200,11 @@ class TestValidateFile:
              "scenario document is missing 'ground_truth_file'"),
             ("s.scenario.json", lambda d: d.update(config=[]),
              "scenario 'config' must be an object"),
+            ("r.json", lambda d: d.update(kind="trace"), "unknown file kind 'trace'"),
         ],
         ids=["recordings-not-list", "row-not-object", "row-missing-column",
-             "scenario-missing-first-key", "scenario-missing-last-key", "config-not-object"],
+             "scenario-missing-first-key", "scenario-missing-last-key", "config-not-object",
+             "unknown-document-kind"],
     )
     def test_document_errors(self, tmp_path, capsys, car_spec, name, edit, message):
         write_report(tmp_path / "r.json", [report("a"), report("b")])

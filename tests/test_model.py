@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import pytest
@@ -21,6 +22,7 @@ from psrkit.model import (
     ComponentStatus,
     ProceduralAction,
     ProcedureSpec,
+    StepEvent,
     StepSequence,
     Transition,
     apply_transition,
@@ -374,6 +376,17 @@ class TestValidateProcedure:
         )
         assert any("ghost" in d for d in validate_procedure(spec))
 
+    def test_incorrect_transition_not_prescribable(self):
+        spec = ProcedureSpec(
+            id="bad",
+            components=("x",),
+            actions=(ProceduralAction("a", 0, Transition.INCORRECT),),
+            initial_state=AssemblyState.from_values([0]),
+        )
+        assert validate_procedure(spec) == [
+            "action 'a' may not prescribe an incorrect transition"
+        ]
+
     def test_initial_state_length(self):
         spec = ProcedureSpec(
             id="bad",
@@ -395,7 +408,47 @@ class TestStepIds:
         assert car_spec.step_id(3, Transition.REMOVE) == "c3:remove"
 
 
+class TestStepEvent:
+    """A step event holds only what a step file can hold."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("frame", True, "frame must be an integer, got True"),
+            ("frame", 2.0, "frame must be an integer, got 2.0"),
+            ("frame", -1, "frame must be non-negative, got -1"),
+            ("time_s", -0.5, "time_s must be non-negative, got -0.5"),
+            ("confidence", math.nan, "confidence must be a finite number, got nan"),
+            ("confidence", math.inf, "confidence must be a finite number, got inf"),
+            ("confidence", True, "confidence must be a finite number, got True"),
+            ("confidence", "0.5", "confidence must be a finite number, got '0.5'"),
+            ("confidence", 2**1024, f"confidence must be a finite number, got {2**1024}"),
+            ("confidence", -0.5, "confidence must be >= 0, got -0.5"),
+        ],
+        ids=["bool-frame", "float-frame", "negative-frame", "negative-time", "nan-conf",
+             "inf-conf", "bool-conf", "str-conf", "int-conf-past-float-range",
+             "negative-conf"],
+    )
+    def test_refused_values(self, field, value, message):
+        fields = dict(action_id="a0", component=0, transition=Transition.INSTALL,
+                      time_s=0.0, frame=0)
+        with pytest.raises(ValueError) as err:
+            StepEvent(**{**fields, field: value})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("frame, confidence", [(0, 0), (7, 1), (10**30, 0.0), (3, 2**1023)])
+    def test_accepted_values(self, frame, confidence):
+        event = StepEvent("a0", 0, Transition.INSTALL, 0.0, frame, confidence)
+        assert (event.frame, event.confidence) == (frame, confidence)
+
+
 class TestStepSequence:
+    @pytest.mark.parametrize("fps", [0.0, -10.0])
+    def test_non_positive_fps_rejected(self, fps):
+        with pytest.raises(ValueError) as err:
+            StepSequence("r", fps)
+        assert str(err.value) == f"fps must be positive, got {fps}"
+
     def test_duplicate_action_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             sequence("r", [("a0", 1.0, 0), ("a0", 2.0, 0)])

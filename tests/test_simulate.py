@@ -15,6 +15,7 @@ from helpers import (
     maintenance_spec,
     random_install_procedure,
     reference_sample_order,
+    sequence,
     state_at,
 )
 from psrkit.model import (
@@ -25,7 +26,14 @@ from psrkit.model import (
     Transition,
     is_error_state,
 )
-from psrkit.simulate import ErrorInjection, SimConfig, _order_counter, sample_execution, simulate
+from psrkit.simulate import (
+    ErrorInjection,
+    Scenario,
+    SimConfig,
+    _order_counter,
+    sample_execution,
+    simulate,
+)
 
 
 @st.composite
@@ -78,10 +86,35 @@ class TestSimConfig:
         with pytest.raises(ValueError, match="dwell"):
             SimConfig(dwell_mean_s=0)
 
+    @pytest.mark.parametrize("name", ["dwell_jitter_s", "conf_spread"])
+    def test_negative_spread_rejected(self, name):
+        with pytest.raises(ValueError) as err:
+            SimConfig(**{name: -0.5})
+        assert str(err.value) == f"{name} must be >= 0"
+
     def test_noiseless_profile(self):
         cfg = SimConfig.noiseless(seed=3)
         assert (cfg.detect_prob, cfg.conf_mean, cfg.conf_spread) == (1.0, 1.0, 0.0)
         assert (cfg.misclass_prob, cfg.error_fp_rate) == (0.0, 0.0)
+
+
+class TestScenario:
+    @pytest.mark.parametrize(
+        "starts, message",
+        [
+            ((), "timeline must start at frame 0"),
+            ((1, 2), "timeline must start at frame 0"),
+            ((0, 2, 2), "timeline segment starts must be strictly increasing"),
+            ((0, 1, 3), "every ground-truth event must start a timeline segment"),
+        ],
+        ids=["empty", "late-start", "repeated-start", "event-off-a-start"],
+    )
+    def test_timeline_checks(self, starts, message):
+        ground_truth = sequence("r", [("a0", 2.0, 0)])  # one event at frame 2
+        state = AssemblyState.from_values([0])
+        with pytest.raises(ValueError) as err:
+            Scenario(ground_truth, tuple((start, state) for start in starts), ())
+        assert str(err.value) == message
 
 
 class TestSampleExecution:
