@@ -178,12 +178,13 @@ def _state_rows(path, kind, spec: ProcedureSpec | None):
 
     This is the one row loop of both line-oriented kinds. The file is read
     one line at a time and closed when the generator ends, fails or is
-    closed. Lines are numbered as str.splitlines() numbers the whole text;
-    a UTF-8 error names the newline-delimited line that holds the bad byte.
-    A line after the manifest that its writer's row pattern matches is
-    built in the branch that matched it; every other line is parsed by
-    json.loads, which names an invalid one, and goes to its kind's builder.
-    Each row's 'frame' must be a non-negative integer, strictly increasing
+    closed. As in JSON Lines, only b"\\n" ends a line, so \\r, \\x0c, U+2028
+    and the like are line content, and every error names the line that
+    the file's newlines count. A line of whitespace alone is skipped. A
+    row that its writer's row pattern matches is taken from the match;
+    any other line is decoded as UTF-8 and parsed by json.loads, and the
+    first invalid one is named. Both kinds of row then share the frame
+    checks: 'frame' must be a non-negative integer, strictly increasing
     in a stream and non-decreasing in a step file, with a finite ``frame /
     fps``. ``state_of(text, line)`` parses and width-checks each distinct
     state text once per file, whether it comes as str or as a matched
@@ -228,48 +229,21 @@ def _state_rows(path, kind, spec: ProcedureSpec | None):
     except OSError as exc:
         raise FormatError(f"cannot read file: {exc.strerror or exc}", path) from None
     inf = math.inf
-    line, last_frame = 0, -1
+    last_frame = -1
     manifest = fast = None  # the manifest line always takes the full parse
     with handle:
-        for physical, raw_bytes in enumerate(handle, start=1):
-            match = fast and fast(raw_bytes)
-            if match:  # at most 18 frame digits: never negative, and / fps cannot raise
-                line += 1
+        for line, raw in enumerate(handle, start=1):
+            match = fast and fast(raw)
+            if match:  # at most 18 frame digits, so never negative
                 frame, text, conf = match.groups()
                 frame = int(frame)
-                if frame <= last_frame and (stream or frame < last_frame):
+            else:
+                try:
+                    raw = raw.decode("utf-8")
+                except UnicodeDecodeError as exc:
                     raise FormatError(
-                        f"frame {frame} out of order (previous was {last_frame})", path, line
-                    )
-                last_frame = frame
-                time_s = frame / fps
-                if time_s == inf:
-                    raise FormatError(f"frame / fps is not a finite time (fps {fps})", path, line)
-                if not stream:
-                    conf = 1.0 if conf is None else float(conf)
-                    yield _step_record(path, line, frame, time_s, text, conf, state_of)
-                elif text is None:
-                    yield DetectionFrame(frame, time_s, ())
-                else:
-                    state = states.get(text)
-                    if state is None:
-                        state = state_of(text, line)
-                    try:
-                        detection = Detection(state, float(conf))
-                    except ValueError as exc:
-                        _as_number(float(conf), "'conf'", path, line)  # names NaN and inf
-                        raise FormatError(str(exc), path, line) from None
-                    yield DetectionFrame(frame, time_s, (detection,))
-                continue
-            try:
-                text = raw_bytes.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(
-                    f"file is not valid UTF-8: {exc.reason}", path, physical
-                ) from None
-            # splitlines also breaks on \r, \x85, \u2028 and the like
-            for raw in text.splitlines():
-                line += 1
+                        f"file is not valid UTF-8: {exc.reason}", path, line
+                    ) from None
                 if not raw.strip():
                     continue
                 try:
@@ -292,22 +266,37 @@ def _state_rows(path, kind, spec: ProcedureSpec | None):
                     frame = _as_int(frame, "'frame'", path, line)
                 if frame < 0:
                     raise FormatError(f"frame index must be non-negative, got {frame}", path, line)
-                if frame <= last_frame and (stream or frame < last_frame):
-                    raise FormatError(
-                        f"frame {frame} out of order (previous was {last_frame})", path, line
-                    )
-                last_frame = frame
-                try:
-                    time_s = frame / fps
-                except OverflowError:  # a frame index past the float range
-                    time_s = inf
-                if time_s == inf:  # frame and fps are finite and non-negative, so never NaN
-                    raise FormatError(f"frame / fps is not a finite time (fps {fps})", path, line)
-                if stream:
-                    yield _frame_record(path, line, frame, time_s, obj, state_of)
-                    continue
-                text, conf = obj.get("state"), obj.get("conf", 1.0)
+            if frame <= last_frame and (stream or frame < last_frame):
+                raise FormatError(
+                    f"frame {frame} out of order (previous was {last_frame})", path, line
+                )
+            last_frame = frame
+            try:
+                time_s = frame / fps
+            except OverflowError:  # a frame index past the float range
+                time_s = inf
+            if time_s == inf:  # frame and fps are finite and non-negative, so never NaN
+                raise FormatError(f"frame / fps is not a finite time (fps {fps})", path, line)
+            if not stream:
+                if match:
+                    conf = 1.0 if conf is None else float(conf)
+                else:
+                    text, conf = obj.get("state"), obj.get("conf", 1.0)
                 yield _step_record(path, line, frame, time_s, text, conf, state_of)
+            elif not match:
+                yield _frame_record(path, line, frame, time_s, obj, state_of)
+            elif text is None:
+                yield DetectionFrame(frame, time_s, ())
+            else:
+                state = states.get(text)
+                if state is None:
+                    state = state_of(text, line)
+                try:
+                    detection = Detection(state, float(conf))
+                except ValueError as exc:
+                    _as_number(float(conf), "'conf'", path, line)  # names NaN and inf
+                    raise FormatError(str(exc), path, line) from None
+                yield DetectionFrame(frame, time_s, (detection,))
         if manifest is None:
             raise FormatError("file is empty, expected a manifest line", path, 1)
 
@@ -364,9 +353,10 @@ def read_stream(path) -> tuple[FileManifest, list[DetectionFrame]]:
 def write_stream(path, manifest: FileManifest, frames) -> None:
     """Write a detection-stream file (inverse of read_stream), frame by frame.
 
-    Each distinct state is serialized once and needs no JSON escaping. An
-    int frame and a float conf without a box are formatted directly, as
-    repr(float) is what json.dumps writes; other values use json.dumps.
+    Each distinct state is serialized once and needs no JSON escaping. A
+    float conf without a box is formatted directly, as repr(float) is what
+    json.dumps writes; other detections use json.dumps. A non-int frame
+    index or a bool conf, which read_stream refuses, raises ValueError.
     """
     texts: dict[AssemblyState, str] = {}
     state, text = object(), ""  # the last state looked up, and its text
@@ -383,12 +373,15 @@ def write_stream(path, manifest: FileManifest, frames) -> None:
                 if det.confidence.__class__ is float and det.box is None:
                     cells.append('{"state":"%s","conf":%r}' % (text, det.confidence))
                     continue
+                if det.confidence.__class__ is bool:
+                    raise ValueError(f"confidence must be a number, got {det.confidence}")
                 record: dict = {"state": text, "conf": det.confidence}
                 if det.box is not None:
                     record["box"] = list(det.box)
                 cells.append(json.dumps(record, separators=(",", ":")))
-            number = frame.frame if frame.frame.__class__ is int else json.dumps(frame.frame)
-            handle.write('{"frame":%s,"detections":[%s]}\n' % (number, ",".join(cells)))
+            if frame.frame.__class__ is not int:
+                raise ValueError(f"frame must be an integer, got {frame.frame!r}")
+            handle.write('{"frame":%s,"detections":[%s]}\n' % (frame.frame, ",".join(cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -469,8 +462,8 @@ def write_ground_truth(
 ) -> None:
     """Write a step sequence as state rows (inverse of read_ground_truth).
 
-    Each row is one format string; json.dumps of the frame and the conf
-    writes a bool, an int, inf or NaN as a row dict's json.dumps would.
+    Each row is one format string: StepEvent's int frame and finite conf
+    go through json.dumps, as they would in a row dict's json.dumps.
     """
     state = _writable_base_state(sequence, spec.initial_state)
     if source is None:

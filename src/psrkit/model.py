@@ -202,7 +202,7 @@ class StepEvent:
 
 @dataclass(frozen=True)
 class StepSequence:
-    """Step events of one recording, sorted by (time, component).
+    """Step events of one recording, sorted by (frame, component).
 
     At most one event per action id: a second completion of the same step
     has no defined meaning anywhere downstream and is rejected here.
@@ -213,8 +213,8 @@ class StepSequence:
     events: tuple[StepEvent, ...] = ()
 
     def __post_init__(self):
-        if self.fps <= 0:
-            raise ValueError(f"fps must be positive, got {self.fps}")
+        if not 0 < self.fps <= sys.float_info.max:
+            raise ValueError(f"fps must be positive and finite, got {self.fps}")
         seen: set[str] = set()
         previous: StepEvent | None = None
         for event in self.events:
@@ -224,8 +224,8 @@ class StepSequence:
                     f"in recording '{self.recording_id}'"
                 )
             seen.add(event.action_id)
-            if previous is not None and (event.time_s, event.component) < (
-                previous.time_s,
+            if previous is not None and (event.frame, event.component) < (
+                previous.frame,
                 previous.component,
             ):
                 raise ValueError(
@@ -240,8 +240,8 @@ class StepSequence:
 
     @classmethod
     def from_events(cls, recording_id: str, fps: float, events) -> StepSequence:
-        """Build a sequence, sorting events by (time, component)."""
-        ordered = tuple(sorted(events, key=lambda e: (e.time_s, e.component)))
+        """Build a sequence, sorting events by (frame, component)."""
+        ordered = tuple(sorted(events, key=lambda e: (e.frame, e.component)))
         return cls(recording_id, fps, ordered)
 
     def __len__(self) -> int:
@@ -417,7 +417,7 @@ def is_reachable(spec: ProcedureSpec, values) -> bool:
             order_edges.append((last.action_id, action.action_id))
     for later, earlier in order_edges:
         requires[later].add(earlier)
-    return _kahn_order(requires) is not None
+    return _is_acyclic(requires)
 
 
 def validate_procedure(spec: ProcedureSpec) -> list[str]:
@@ -457,27 +457,25 @@ def validate_procedure(spec: ProcedureSpec) -> list[str]:
                     f"action '{action.action_id}' requires unknown action '{pre}'"
                 )
     known = {a.action_id: set(a.prerequisites) & ids for a in spec.actions}
-    if _kahn_order(known) is None:
+    if not _is_acyclic(known):
         diagnostics.append("prerequisite graph contains a cycle")
     return diagnostics
 
 
-def _kahn_order(requires: dict[str, set[str]]) -> list[str] | None:
-    """Keys ordered so each follows everything it requires; None on a cycle.
+def _is_acyclic(requires: dict[str, set[str]]) -> bool:
+    """Whether the keys can be ordered so each follows everything it requires.
 
-    Stable Kahn: each round takes, in insertion order, every key whose
-    requirements are all met. A requirement that is not a key is never
-    met.
+    Kahn's rounds: each takes every key whose requirements are all met,
+    until none is left (True) or none is ready (False). A requirement
+    that is not a key is never met.
     """
     remaining = dict(requires)
-    order: list[str] = []
     done: set[str] = set()
     while remaining:
         ready = [key for key, pre in remaining.items() if pre <= done]
         if not ready:
-            return None
+            return False
+        done.update(ready)
         for key in ready:
-            order.append(key)
-            done.add(key)
             del remaining[key]
-    return order
+    return True

@@ -242,11 +242,11 @@ def reference_read_stream(path, spec: ProcedureSpec | None = None):
     """A detection-stream file read the plain way: (manifest, frames).
 
     The stream reader before it was tuned for speed, in one loop:
-    json.loads on every splitlines() line and every check in the same
-    order, so the first bad line raises the same located FormatError,
-    including a frame whose time frame / fps is not a finite float. A
-    frame is (frame, time_s, detections), a detection (state,
-    confidence, box).
+    json.loads on every line (only b"\\n" ends one, as in JSON Lines) and
+    every check in the same order, so the first bad line raises the same
+    located FormatError, including a frame whose time frame / fps is not
+    a finite float. A frame is (frame, time_s, detections), a detection
+    (state, confidence, box).
     """
     try:
         handle = open(path, "rb")
@@ -257,91 +257,85 @@ def reference_read_stream(path, spec: ProcedureSpec | None = None):
     width = spec.n_components if spec is not None else None
     frames = []
     last_frame = -1
-    number = 0
     with handle:
-        for physical, raw_bytes in enumerate(handle, start=1):
+        for line, raw_bytes in enumerate(handle, start=1):
             try:
-                text = raw_bytes.decode("utf-8")
+                raw = raw_bytes.decode("utf-8")
             except UnicodeDecodeError as exc:
+                raise FormatError(f"file is not valid UTF-8: {exc.reason}", path, line) from None
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw)
+            except json.JSONDecodeError as exc:
+                raise FormatError(f"invalid JSON: {exc.msg}", path, line) from None
+            if manifest is None:
+                manifest = _parse_manifest(obj, "stream", path)
+                continue
+            if not isinstance(obj, dict):
+                raise FormatError("frame record must be a JSON object", path, line)
+            frame = _as_int(obj.get("frame"), "'frame'", path, line)
+            if frame < 0:
                 raise FormatError(
-                    f"file is not valid UTF-8: {exc.reason}", path, physical
-                ) from None
-            for raw in text.splitlines():
-                number += 1
-                line = number
-                if not raw.strip():
-                    continue
-                try:
-                    obj = json.loads(raw)
-                except json.JSONDecodeError as exc:
-                    raise FormatError(f"invalid JSON: {exc.msg}", path, line) from None
-                if manifest is None:
-                    manifest = _parse_manifest(obj, "stream", path)
-                    continue
-                if not isinstance(obj, dict):
-                    raise FormatError("frame record must be a JSON object", path, line)
-                frame = _as_int(obj.get("frame"), "'frame'", path, line)
-                if frame < 0:
+                    f"frame index must be non-negative, got {frame}", path, line
+                )
+            if frame <= last_frame:
+                raise FormatError(
+                    f"frame {frame} out of order (previous was {last_frame})", path, line
+                )
+            last_frame = frame
+            try:
+                time_s = frame / manifest.fps
+            except OverflowError:
+                time_s = math.inf
+            if not math.isfinite(time_s):
+                raise FormatError(
+                    f"frame / fps is not a finite time (fps {manifest.fps})", path, line
+                )
+            raw_detections = obj.get("detections", [])
+            if not isinstance(raw_detections, list):
+                raise FormatError("'detections' must be a list", path, line)
+            detections = []
+            for det in raw_detections:
+                if not isinstance(det, dict):
+                    raise FormatError("detection must be a JSON object", path, line)
+                state_text = det.get("state")
+                if not isinstance(state_text, str):
+                    raise FormatError("'state' must be a string", path, line)
+                if state_text not in states:
+                    try:
+                        state = parse_state_text(state_text)
+                    except ValueError as exc:
+                        raise FormatError(str(exc), path, line) from None
+                    if width is None:
+                        width = len(state)
+                    elif len(state) != width:
+                        if spec is not None:
+                            message = (
+                                f"state has {len(state)} components, procedure "
+                                f"'{spec.id}' expects {width}"
+                            )
+                        else:
+                            message = (
+                                f"state width {len(state)} differs from earlier width {width}"
+                            )
+                        raise FormatError(message, path, line)
+                    states[state_text] = state
+                confidence = _as_number(det.get("conf"), "'conf'", path, line)
+                box = None
+                if det.get("box") is not None:
+                    raw_box = det["box"]
+                    if not isinstance(raw_box, list) or len(raw_box) != 4:
+                        raise FormatError("'box' must be a list of four numbers", path, line)
+                    box = tuple(_as_number(v, "'box' entry", path, line) for v in raw_box)
+                if not 0.0 <= confidence <= 1.0:
                     raise FormatError(
-                        f"frame index must be non-negative, got {frame}", path, line
+                        f"detection confidence must be in [0, 1], got {confidence}",
+                        path,
+                        line,
                     )
-                if frame <= last_frame:
-                    raise FormatError(
-                        f"frame {frame} out of order (previous was {last_frame})", path, line
-                    )
-                last_frame = frame
-                try:
-                    time_s = frame / manifest.fps
-                except OverflowError:
-                    time_s = math.inf
-                if not math.isfinite(time_s):
-                    raise FormatError(
-                        f"frame / fps is not a finite time (fps {manifest.fps})", path, line
-                    )
-                raw_detections = obj.get("detections", [])
-                if not isinstance(raw_detections, list):
-                    raise FormatError("'detections' must be a list", path, line)
-                detections = []
-                for det in raw_detections:
-                    if not isinstance(det, dict):
-                        raise FormatError("detection must be a JSON object", path, line)
-                    state_text = det.get("state")
-                    if not isinstance(state_text, str):
-                        raise FormatError("'state' must be a string", path, line)
-                    if state_text not in states:
-                        try:
-                            state = parse_state_text(state_text)
-                        except ValueError as exc:
-                            raise FormatError(str(exc), path, line) from None
-                        if width is None:
-                            width = len(state)
-                        elif len(state) != width:
-                            if spec is not None:
-                                message = (
-                                    f"state has {len(state)} components, procedure "
-                                    f"'{spec.id}' expects {width}"
-                                )
-                            else:
-                                message = (
-                                    f"state width {len(state)} differs from earlier width {width}"
-                                )
-                            raise FormatError(message, path, line)
-                        states[state_text] = state
-                    confidence = _as_number(det.get("conf"), "'conf'", path, line)
-                    box = None
-                    if det.get("box") is not None:
-                        raw_box = det["box"]
-                        if not isinstance(raw_box, list) or len(raw_box) != 4:
-                            raise FormatError("'box' must be a list of four numbers", path, line)
-                        box = tuple(_as_number(v, "'box' entry", path, line) for v in raw_box)
-                    if not 0.0 <= confidence <= 1.0:
-                        raise FormatError(
-                            f"detection confidence must be in [0, 1], got {confidence}",
-                            path,
-                            line,
-                        )
-                    detections.append((states[state_text], confidence, box))
-                frames.append((frame, time_s, tuple(detections)))
+                detections.append((states[state_text], confidence, box))
+            frames.append((frame, time_s, tuple(detections)))
     if manifest is None:
         raise FormatError("file is empty, expected a manifest line", path, 1)
     return manifest, frames
@@ -420,11 +414,12 @@ def reference_read_ground_truth(path, spec: ProcedureSpec | None = None):
     """A step file read the plain way: (manifest, sequence).
 
     The step reader before it skipped JSON decoding, in one loop:
-    json.loads on every splitlines() line, reference_parse_state_text on
-    every new state and every check in the same order, so the first bad
-    line raises the same located FormatError. Without a procedure the
-    rows are checked as validate_file checks them, the width being the
-    first state's, and the sequence is None.
+    json.loads on every line (only b"\\n" ends one, as in JSON Lines),
+    reference_parse_state_text on every new state and every check in the
+    same order, so the first bad line raises the same located
+    FormatError. Without a procedure the rows are checked as
+    validate_file checks them, the width being the first state's, and
+    the sequence is None.
     """
     try:
         handle = open(path, "rb")
@@ -436,89 +431,83 @@ def reference_read_ground_truth(path, spec: ProcedureSpec | None = None):
     previous = None
     events: list[StepEvent] = []
     last_frame = -1
-    number = 0
     with handle:
-        for physical, raw_bytes in enumerate(handle, start=1):
+        for line, raw_bytes in enumerate(handle, start=1):
             try:
-                text = raw_bytes.decode("utf-8")
+                raw = raw_bytes.decode("utf-8")
             except UnicodeDecodeError as exc:
+                raise FormatError(f"file is not valid UTF-8: {exc.reason}", path, line) from None
+            if not raw.strip():
+                continue
+            try:
+                obj = json.loads(raw)
+            except (ValueError, RecursionError) as exc:
+                message = getattr(exc, "msg", exc)
+                raise FormatError(f"invalid JSON: {message}", path, line) from None
+            if manifest is None:
+                manifest = _parse_manifest(obj, "ground_truth", path)
+                continue
+            if not isinstance(obj, dict):
+                raise FormatError("state record must be a JSON object", path, line)
+            frame = _as_int(obj.get("frame"), "'frame'", path, line)
+            if frame < 0:
                 raise FormatError(
-                    f"file is not valid UTF-8: {exc.reason}", path, physical
-                ) from None
-            for raw in text.splitlines():
-                number += 1
-                line = number
-                if not raw.strip():
-                    continue
+                    f"frame index must be non-negative, got {frame}", path, line
+                )
+            if frame < last_frame:
+                raise FormatError(
+                    f"frame {frame} out of order (previous was {last_frame})", path, line
+                )
+            last_frame = frame
+            try:
+                time_s = frame / manifest.fps
+            except OverflowError:
+                time_s = math.inf
+            if not math.isfinite(time_s):
+                raise FormatError(
+                    f"frame / fps is not a finite time (fps {manifest.fps})", path, line
+                )
+            state_text = obj.get("state")
+            if not isinstance(state_text, str):
+                raise FormatError("'state' must be a string", path, line)
+            if state_text not in states:
                 try:
-                    obj = json.loads(raw)
-                except (ValueError, RecursionError) as exc:
-                    message = getattr(exc, "msg", exc)
-                    raise FormatError(f"invalid JSON: {message}", path, line) from None
-                if manifest is None:
-                    manifest = _parse_manifest(obj, "ground_truth", path)
-                    continue
-                if not isinstance(obj, dict):
-                    raise FormatError("state record must be a JSON object", path, line)
-                frame = _as_int(obj.get("frame"), "'frame'", path, line)
-                if frame < 0:
-                    raise FormatError(
-                        f"frame index must be non-negative, got {frame}", path, line
-                    )
-                if frame < last_frame:
-                    raise FormatError(
-                        f"frame {frame} out of order (previous was {last_frame})", path, line
-                    )
-                last_frame = frame
-                try:
-                    time_s = frame / manifest.fps
-                except OverflowError:
-                    time_s = math.inf
-                if not math.isfinite(time_s):
-                    raise FormatError(
-                        f"frame / fps is not a finite time (fps {manifest.fps})", path, line
-                    )
-                state_text = obj.get("state")
-                if not isinstance(state_text, str):
-                    raise FormatError("'state' must be a string", path, line)
-                if state_text not in states:
-                    try:
-                        state = reference_parse_state_text(state_text)
-                    except ValueError as exc:
-                        raise FormatError(str(exc), path, line) from None
-                    if width is None:
-                        width = len(state)
-                    elif len(state) != width:
-                        if spec is not None:
-                            message = (
-                                f"state has {len(state)} components, procedure "
-                                f"'{spec.id}' expects {width}"
-                            )
-                        else:
-                            message = f"state width {len(state)} differs from earlier width {width}"
-                        raise FormatError(message, path, line)
-                    states[state_text] = state
-                state = states[state_text]
-                confidence = 1.0
-                if "conf" in obj:
-                    confidence = _as_number(obj["conf"], "'conf'", path, line)
-                    if confidence < 0:
-                        raise FormatError(f"'conf' must be >= 0, got {confidence}", path, line)
-                if spec is None:
-                    continue
-                if previous is not None:
-                    for component, transition in diff_states(previous, state):
-                        action_id = spec.step_id(component, transition)
-                        if any(e.action_id == action_id for e in events):
-                            raise FormatError(
-                                f"duplicate completion of '{action_id}'", path, line
-                            )
-                        source = manifest.source or EventSource.GROUND_TRUTH
-                        events.append(
-                            StepEvent(action_id, component, transition, time_s, frame,
-                                      confidence, source)
+                    state = reference_parse_state_text(state_text)
+                except ValueError as exc:
+                    raise FormatError(str(exc), path, line) from None
+                if width is None:
+                    width = len(state)
+                elif len(state) != width:
+                    if spec is not None:
+                        message = (
+                            f"state has {len(state)} components, procedure "
+                            f"'{spec.id}' expects {width}"
                         )
-                previous = state
+                    else:
+                        message = f"state width {len(state)} differs from earlier width {width}"
+                    raise FormatError(message, path, line)
+                states[state_text] = state
+            state = states[state_text]
+            confidence = 1.0
+            if "conf" in obj:
+                confidence = _as_number(obj["conf"], "'conf'", path, line)
+                if confidence < 0:
+                    raise FormatError(f"'conf' must be >= 0, got {confidence}", path, line)
+            if spec is None:
+                continue
+            if previous is not None:
+                for component, transition in diff_states(previous, state):
+                    action_id = spec.step_id(component, transition)
+                    if any(e.action_id == action_id for e in events):
+                        raise FormatError(
+                            f"duplicate completion of '{action_id}'", path, line
+                        )
+                    source = manifest.source or EventSource.GROUND_TRUTH
+                    events.append(
+                        StepEvent(action_id, component, transition, time_s, frame,
+                                  confidence, source)
+                    )
+            previous = state
     if manifest is None:
         raise FormatError("file is empty, expected a manifest line", path, 1)
     if spec is None:

@@ -105,19 +105,16 @@ class TestStreamRoundTrip:
 
     @given(
         rows=st.lists(
-            st.tuples(
-                st.sampled_from([int, float, bool]),
-                st.lists(
-                    st.tuples(
-                        st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=5),
-                        st.one_of(
-                            st.floats(min_value=0.0, max_value=1.0),
-                            st.sampled_from([0.0, 1.0, 1, True]),
-                        ),
-                        st.none() | st.tuples(*[st.floats(allow_nan=False)] * 4),
+            st.lists(
+                st.tuples(
+                    st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=5),
+                    st.one_of(
+                        st.floats(min_value=0.0, max_value=1.0),
+                        st.sampled_from([0.0, 1.0, 1]),
                     ),
-                    max_size=3,
+                    st.none() | st.tuples(*[st.floats(allow_nan=False)] * 4),
                 ),
+                max_size=3,
             ),
             max_size=12,
         )
@@ -126,16 +123,31 @@ class TestStreamRoundTrip:
     def test_same_bytes_as_reference_writer(self, tmp_path_factory, rows):
         frames = [
             DetectionFrame(
-                index_type(index % 2 if index_type is bool else index),
+                index,
                 index / FPS,
                 tuple(Detection(AssemblyState.from_values(v), c, b) for v, c, b in detections),
             )
-            for index, (index_type, detections) in enumerate(rows)
+            for index, detections in enumerate(rows)
         ]
         directory = tmp_path_factory.mktemp("writers")
         write_stream(directory / "new.jsonl", stream_manifest(), iter(frames))
         reference_write_stream(directory / "old.jsonl", stream_manifest(), frames)
         assert (directory / "new.jsonl").read_bytes() == (directory / "old.jsonl").read_bytes()
+
+    @pytest.mark.parametrize(
+        "frame, message",
+        [
+            (DetectionFrame(True, 0.1), "frame must be an integer, got True"),
+            (DetectionFrame(2.0, 0.2), "frame must be an integer, got 2.0"),
+            (DetectionFrame(0, 0.0, (Detection(AssemblyState.from_values([0]), True),)),
+             "confidence must be a number, got True"),
+        ],
+        ids=["bool-frame", "float-frame", "bool-conf"],
+    )
+    def test_rows_read_stream_refuses_are_not_written(self, tmp_path, frame, message):
+        with pytest.raises(ValueError) as err:
+            write_stream(tmp_path / "s.jsonl", stream_manifest(), [frame])
+        assert str(err.value) == message
 
     @given(
         steps=st.lists(
@@ -406,31 +418,38 @@ class TestAgainstReferenceReader:
         path.write_bytes(mutate_bytes(car_stream_bytes, random.Random(seed)))
         self.agree(path, car_spec if with_spec else None)
 
-    def read_rows(self, tmp_path, *rows: str | bytes):
+    def read_rows(self, tmp_path, *rows: str | bytes, recording_id="rec"):
         """Read the manifest and the rows, one a line.
 
         A row that starts with \\r shares the line before it, after that \\r.
+        The recording id is written raw, not as a JSON escape.
         """
         path = tmp_path / "s.jsonl"
-        lines = [MANIFEST_LINE.encode()]
+        manifest = {**json.loads(MANIFEST_LINE), "recording_id": recording_id}
+        lines = [json.dumps(manifest, ensure_ascii=False).encode()]
         lines += [row if isinstance(row, bytes) else row.encode() for row in rows]
         path.write_bytes(b"\n".join(lines).replace(b"\n\r", b"\r") + b"\n")
         return self.agree(path)
 
     @pytest.mark.parametrize(
-        "row, detections",
+        "row, detections, recording_id",
         [
-            ("  " + ROW, ((STATE, 0.5, None),)),
-            (ROW + " \t", ((STATE, 0.5, None),)),
-            (ROW.replace("0.5", "1"), ((STATE, 1.0, None),)),
-            ('{"frame":0}', ()),
-            ("\r" + ROW, ((STATE, 0.5, None),)),
+            ("  " + ROW, ((STATE, 0.5, None),), "rec"),
+            (ROW + " \t", ((STATE, 0.5, None),), "rec"),
+            (ROW.replace("0.5", "1"), ((STATE, 1.0, None),), "rec"),
+            ('{"frame":0}', (), "rec"),
+            # only \n ends a JSON Lines line, so these are string content
+            (ROW, ((STATE, 0.5, None),), "a\u2028b"),
+            (ROW, ((STATE, 0.5, None),), "a\u2029b"),
+            (ROW, ((STATE, 0.5, None),), "a\x85b"),
         ],
         ids=["leading-spaces", "trailing-spaces", "integer-conf", "no-detections",
-             "on-the-manifest-line"],
+             "line-separator-in-manifest", "paragraph-separator-in-manifest",
+             "next-line-in-manifest"],
     )
-    def test_accepted_rows(self, tmp_path, row, detections):
-        _, frames = self.read_rows(tmp_path, row)
+    def test_accepted_rows(self, tmp_path, row, detections, recording_id):
+        manifest, frames = self.read_rows(tmp_path, row, recording_id=recording_id)
+        assert manifest.recording_id == recording_id
         assert frames == [(0, 0.0, detections)]
         assert all(type(conf) is float for _, conf, _ in frames[0][2])
 
@@ -449,15 +468,21 @@ class TestAgainstReferenceReader:
                 (ROW.replace('"frame":0', '"frame":' + "9" * 400),),
                 ("frame / fps is not a finite time (fps 10.0)", 2),
             ),
-            (("\r" + ROW.replace("0.5", "1.7"),),
-             ("detection confidence must be in [0, 1], got 1.7", 2)),
+            # a lone \r (or \x0c, U+2028, ...) does not end a line: two rows on one
+            (("\r" + ROW.replace("0.5", "1.7"),), ("invalid JSON: Extra data", 1)),
+            ((ROW, "\r" + ROW.replace('"frame":0', '"frame":1')), ("invalid JSON: Extra data", 2)),
             (("  " + ROW, ROW), ("frame 0 out of order (previous was 0)", 3)),
             (("[]",), ("frame record must be a JSON object", 2)),
             (('{"frame":0,"detections":[1]}',), ("detection must be a JSON object", 2)),
+            # a blank line of \x0c is one line, whichever error comes after it
+            ((ROW, "\x0c", ROW.encode().replace(b"0.5", b"0.5\xff")),
+             ("file is not valid UTF-8: invalid start byte", 4)),
+            ((ROW, "\x0c", ROW + ",{}"), ("invalid JSON: Extra data", 4)),
         ],
         ids=["extra-data", "bom", "boolean-conf", "boolean-frame", "null-detections",
-             "frame-time-overflow", "on-the-manifest-line", "writer-row-after-decoded-row",
-             "row-not-object", "detection-not-object"],
+             "frame-time-overflow", "on-the-manifest-line", "rows-split-by-cr",
+             "writer-row-after-decoded-row", "row-not-object", "detection-not-object",
+             "utf8-error-after-form-feed", "json-error-after-form-feed"],
     )
     def test_rejected_rows(self, tmp_path, rows, expected):
         assert self.read_rows(tmp_path, *rows) == expected
@@ -700,8 +725,7 @@ class TestGroundTruthFiles:
 
     @given(
         start=st.lists(st.sampled_from([-1, 0, 1]), min_size=3, max_size=3),
-        # frames far enough apart in time: StepSequence orders by (time_s, component)
-        first=st.sampled_from([0, 1, 10**12]),
+        first=st.sampled_from([0, 1, 10**12, 10**17]),
         steps=st.lists(
             st.tuples(
                 st.integers(min_value=0, max_value=2),
@@ -986,13 +1010,15 @@ class TestProcedureFiles:
             (lambda d: d.update(components=[]), "'components' must be a non-empty list"),
             (lambda d: d["components"][1].pop("name"), "component 1 must have a string 'name'"),
             (lambda d: d.update(initial_state=0), "'initial_state' must be a state string"),
+            (lambda d: d.update(initial_state="0,2"),
+             "initial_state: component status must be -1, 0 or 1, got 2"),
             (lambda d: d.update(actions={}), "'actions' must be a list"),
             (lambda d: d["actions"][1].update(id=None), "every action must have a string 'id'"),
             (lambda d: d["actions"][1].update(requires="a"),
              "action 'b': 'requires' must be a list of ids"),
         ],
-        ids=["id", "components", "component-name", "initial-state", "actions", "action-id",
-             "requires"],
+        ids=["id", "components", "component-name", "initial-state", "initial-state-value",
+             "actions", "action-id", "requires"],
     )
     def test_document_errors(self, tmp_path, edit, message):
         path = tmp_path / "proc.json"

@@ -443,11 +443,12 @@ class TestStepEvent:
 
 
 class TestStepSequence:
-    @pytest.mark.parametrize("fps", [0.0, -10.0])
+    # a step file's manifest cannot hold inf or NaN: its reader wants a finite fps
+    @pytest.mark.parametrize("fps", [0.0, -10.0, math.inf, math.nan])
     def test_non_positive_fps_rejected(self, fps):
         with pytest.raises(ValueError) as err:
             StepSequence("r", fps)
-        assert str(err.value) == f"fps must be positive, got {fps}"
+        assert str(err.value) == f"fps must be positive and finite, got {fps}"
 
     def test_duplicate_action_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
