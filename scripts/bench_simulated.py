@@ -76,12 +76,16 @@ def main() -> int:
             reports.append(evaluate_recording(scenario.ground_truth, predicted, spec))
         path = out_dir / f"bench_{variant.value}.csv"
         write_report(path, reports, fmt="csv")
-        summary = aggregate_reports(reports, Subset.ALL)
-        tau_s = summary.tau_s if summary.tau_s is not None else float("nan")
-        print(
-            f"{variant.value}: POS {summary.pos:.3f}  F1 {summary.f1:.3f}  "
-            f"delay {tau_s:.2f}s  -> {path}"
-        )
+        subsets = [Subset.ALL]
+        if any(report.has_errors for report in reports):
+            subsets.append(Subset.ERRORS_ONLY)
+        for subset in subsets:
+            summary = aggregate_reports(reports, subset)
+            tau_s = summary.tau_s if summary.tau_s is not None else float("nan")
+            print(
+                f"{variant.value} {subset.value}: POS {summary.pos:.3f}  "
+                f"F1 {summary.f1:.3f}  delay {tau_s:.2f}s  -> {path}"
+            )
     return 0
 
 

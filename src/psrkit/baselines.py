@@ -135,20 +135,18 @@ class StepRecognizer:
         self._last_frame = -1
         # the belief holds the detections' own status members, so an
         # agreeing frame's comparison is mostly identity checks
-        self._belief: tuple[int, ...] | None = None
+        self._belief: AssemblyState | None = None
         # guard verdict per candidate state, so a persistently rejected
         # candidate costs one is_reachable call in total
         self._reachable: dict[tuple[int, ...], bool] | None = None
         if config.variant is Variant.B3:
-            self._belief = spec.initial_state.statuses
+            self._belief = spec.initial_state
             self._reachable = {}
 
     @property
     def current_state(self) -> AssemblyState | None:
         """The recognizer's belief, None while B1/B2 await a detection."""
-        if self._belief is None:
-            return None
-        return AssemblyState.from_values(self._belief)
+        return self._belief
 
     @property
     def confidences(self) -> tuple[float, ...]:
@@ -174,41 +172,41 @@ class StepRecognizer:
             best = detections[0]
         else:
             best = max(detections, key=lambda d: d.confidence)
-        statuses = best.state.statuses
-        if statuses == self._belief:  # the common frame: every component agrees
+        state = best.state
+        if state == self._belief:  # the common frame: every component agrees
             if not self._b1:
                 decay = self._decay
                 self._confs = [c * decay for c in self._confs]
             return []
-        if len(statuses) != self._width:
+        if len(state) != self._width:
             raise ValueError(
-                f"detection has {len(statuses)} components, "
+                f"detection has {len(state)} components, "
                 f"procedure '{self.spec.id}' has {self._width}"
             )
         if self._belief is None:
-            self._belief = statuses
+            self._belief = state
             return []
         if self._b1:
-            return self._process_b1(frame, statuses, best.confidence)
-        return self._process_accumulating(frame, statuses, best.confidence)
+            return self._process_b1(frame, state, best.confidence)
+        return self._process_accumulating(frame, state, best.confidence)
 
     def _process_b1(
-        self, frame: DetectionFrame, statuses: tuple[int, ...], confidence: float
+        self, frame: DetectionFrame, state: AssemblyState, confidence: float
     ) -> list[StepEvent]:
         if confidence < self.config.threshold:
             return []
         belief = self._belief
         emitted: list[StepEvent] = []
-        for i, value in enumerate(statuses):
+        for i, value in enumerate(state):
             if value != belief[i]:
                 event = self._emit(i, value, frame, confidence)
                 if event is not None:
                     emitted.append(event)
-        self._belief = statuses
+        self._belief = state
         return emitted
 
     def _process_accumulating(
-        self, frame: DetectionFrame, statuses: tuple[int, ...], confidence: float
+        self, frame: DetectionFrame, state: AssemblyState, confidence: float
     ) -> list[StepEvent]:
         belief = list(self._belief)
         confs = self._confs
@@ -216,7 +214,7 @@ class StepRecognizer:
         decay = self._decay
         reachable = self._reachable
         emitted: list[StepEvent] = []
-        for i, value in enumerate(statuses):
+        for i, value in enumerate(state):
             if value == belief[i]:
                 confs[i] *= decay
                 continue
@@ -235,7 +233,7 @@ class StepRecognizer:
             confs[i] = 0.0
             if event is not None:
                 emitted.append(event)
-        self._belief = tuple(belief)
+        self._belief = AssemblyState(belief)
         return emitted
 
     def _emit(

@@ -115,13 +115,23 @@ def _as_number(value, what, path, line) -> float:
     return number
 
 
+def _finite_number(value) -> bool:
+    """Whether _as_number takes value: a non-bool int or float, finite as a float."""
+    if value.__class__ is bool or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
+
+
 def _as_int(value, what, path, line) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise FormatError(f"{what} must be an integer", path, line)
     return value
 
 
-def _parse_manifest(obj, expected_kind: str | None, path, line=1) -> FileManifest:
+def _parse_manifest(obj, expected_kind: str | None, path, line) -> FileManifest:
     if not isinstance(obj, dict):
         raise FormatError("manifest line must be a JSON object", path, line)
     for key in ("format_version", "kind", "recording_id", "fps"):
@@ -253,7 +263,7 @@ def _state_rows(path, kind, spec: ProcedureSpec | None):
                     message = getattr(exc, "msg", exc)
                     raise FormatError(f"invalid JSON: {message}", path, line) from None
                 if manifest is None:
-                    manifest = _parse_manifest(obj, kind, path)
+                    manifest = _parse_manifest(obj, kind, path, line)
                     stream, fps = manifest.kind == "stream", manifest.fps
                     noun = "frame" if stream else "state"
                     fast = _ROW_MATCHERS.get(manifest.kind)
@@ -356,7 +366,8 @@ def write_stream(path, manifest: FileManifest, frames) -> None:
     Each distinct state is serialized once and needs no JSON escaping. A
     float conf without a box is formatted directly, as repr(float) is what
     json.dumps writes; other detections use json.dumps. A non-int frame
-    index or a bool conf, which read_stream refuses, raises ValueError.
+    index, a bool conf or a box other than four finite numbers, which
+    read_stream refuses, raises ValueError.
     """
     texts: dict[AssemblyState, str] = {}
     state, text = object(), ""  # the last state looked up, and its text
@@ -377,7 +388,10 @@ def write_stream(path, manifest: FileManifest, frames) -> None:
                     raise ValueError(f"confidence must be a number, got {det.confidence}")
                 record: dict = {"state": text, "conf": det.confidence}
                 if det.box is not None:
-                    record["box"] = list(det.box)
+                    box = list(det.box)
+                    if len(box) != 4 or not all(map(_finite_number, box)):
+                        raise ValueError(f"box must be four finite numbers, got {det.box!r}")
+                    record["box"] = box
                 cells.append(json.dumps(record, separators=(",", ":")))
             if frame.frame.__class__ is not int:
                 raise ValueError(f"frame must be an integer, got {frame.frame!r}")
@@ -445,7 +459,7 @@ def _writable_base_state(
     a no-op relative to that start; nudging the affected components in
     the base row keeps the change-per-row file format lossless.
     """
-    statuses = list(base_state.statuses)
+    statuses = list(base_state)
     firsts: dict[int, Transition] = {}  # each component's first transition
     for event in sequence.events:
         firsts.setdefault(event.component, event.transition)
@@ -454,7 +468,7 @@ def _writable_base_state(
         target = transition_target(transition)
         if statuses[component] == target:  # the nudge is a status the event can leave
             statuses[component] = ComponentStatus.INSTALLED if target is absent else absent
-    return AssemblyState(tuple(statuses))
+    return AssemblyState(statuses)
 
 
 def write_ground_truth(

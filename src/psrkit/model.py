@@ -69,33 +69,27 @@ def transition_target(transition: Transition) -> ComponentStatus:
     return _TARGET_VALUE[transition._value_]
 
 
-@dataclass(frozen=True)
-class AssemblyState:
-    """Immutable per-component status vector, e.g. the code 11100000000."""
+class AssemblyState(tuple):
+    """Immutable per-component status vector, e.g. the code 11100000000.
 
-    statuses: tuple[ComponentStatus, ...]
+    A state is the tuple of its ComponentStatus members, so it compares
+    and hashes as the plain tuple of the same values.
+    """
 
-    def __len__(self) -> int:
-        return len(self.statuses)
-
-    def __getitem__(self, index: int) -> ComponentStatus:
-        return self.statuses[index]
-
-    def __iter__(self):
-        return iter(self.statuses)
+    __slots__ = ()
 
     def replace(self, component: int, status: ComponentStatus) -> AssemblyState:
         """New state with one component's status changed."""
-        statuses = list(self.statuses)
+        statuses = list(self)
         statuses[component] = status
-        return AssemblyState(tuple(statuses))
+        return AssemblyState(statuses)
 
     def as_ints(self) -> tuple[int, ...]:
-        return tuple(int(s) for s in self.statuses)
+        return tuple(map(int, self))
 
     @classmethod
     def from_values(cls, values) -> AssemblyState:
-        return cls(tuple(status_for_value(v) for v in values))
+        return cls(map(status_for_value, values))
 
 
 @dataclass(frozen=True)
@@ -295,7 +289,7 @@ def parse_state_text(text: str) -> AssemblyState:
         except ValueError:
             raise ValueError(f"malformed state token '{token}' in '{text}'") from None
         values.append(status_for_value(value))
-    return AssemblyState(tuple(values))
+    return AssemblyState(values)
 
 
 def serialize_state(state: AssemblyState) -> str:
@@ -305,7 +299,7 @@ def serialize_state(state: AssemblyState) -> str:
 
 def is_error_state(state: AssemblyState) -> bool:
     """True iff any component is incorrectly installed."""
-    return any(s is ComponentStatus.INCORRECT for s in state.statuses)
+    return ComponentStatus.INCORRECT in state
 
 
 def diff_states(prev: AssemblyState, next_state: AssemblyState) -> list[tuple[int, Transition]]:
@@ -320,9 +314,9 @@ def diff_states(prev: AssemblyState, next_state: AssemblyState) -> list[tuple[in
             f"cannot diff states of length {len(prev)} and {len(next_state)}"
         )
     changes: list[tuple[int, Transition]] = []
-    for index, (before, after) in enumerate(zip(prev.statuses, next_state.statuses)):
+    for index, (before, after) in enumerate(zip(prev, next_state)):
         if before != after:
-            changes.append((index, transition_to(int(after))))
+            changes.append((index, transition_to(after)))
     return changes
 
 
@@ -367,9 +361,9 @@ def expected_states(spec: ProcedureSpec) -> frozenset[AssemblyState]:
 def is_reachable(spec: ProcedureSpec, values) -> bool:
     """Whether the state ``values`` occurs in some correct execution of ``spec``.
 
-    Same verdict as ``tuple(values) in {s.as_ints() for s in
-    expected_states(spec)}``, in time polynomial in the procedure's size.
-    ``spec`` must be valid (see validate_procedure).
+    Same verdict as ``tuple(values) in expected_states(spec)``, in time
+    polynomial in the procedure's size. ``spec`` must be valid (see
+    validate_procedure).
 
     A correct execution so far is a prerequisite-closed set of actions,
     each applied once, in an order that respects the prerequisites. A
@@ -385,7 +379,7 @@ def is_reachable(spec: ProcedureSpec, values) -> bool:
     no missing counterpart action) and its prerequisite and
     counterpart-order edges form no cycle.
     """
-    initial = spec.initial_state.as_ints()
+    initial = spec.initial_state
     if len(values) != len(initial):
         raise ValueError(
             f"state has {len(values)} components, "

@@ -323,10 +323,7 @@ def sample_execution(
 def _nearest_correct(state: AssemblyState) -> AssemblyState:
     """The state a detector blind to mistakes would report instead."""
     return AssemblyState(
-        tuple(
-            ComponentStatus.INSTALLED if s is ComponentStatus.INCORRECT else s
-            for s in state.statuses
-        )
+        ComponentStatus.INSTALLED if s is ComponentStatus.INCORRECT else s for s in state
     )
 
 

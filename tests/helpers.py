@@ -270,7 +270,7 @@ def reference_read_stream(path, spec: ProcedureSpec | None = None):
             except json.JSONDecodeError as exc:
                 raise FormatError(f"invalid JSON: {exc.msg}", path, line) from None
             if manifest is None:
-                manifest = _parse_manifest(obj, "stream", path)
+                manifest = _parse_manifest(obj, "stream", path, line)
                 continue
             if not isinstance(obj, dict):
                 raise FormatError("frame record must be a JSON object", path, line)
@@ -445,7 +445,7 @@ def reference_read_ground_truth(path, spec: ProcedureSpec | None = None):
                 message = getattr(exc, "msg", exc)
                 raise FormatError(f"invalid JSON: {message}", path, line) from None
             if manifest is None:
-                manifest = _parse_manifest(obj, "ground_truth", path)
+                manifest = _parse_manifest(obj, "ground_truth", path, line)
                 continue
             if not isinstance(obj, dict):
                 raise FormatError("state record must be a JSON object", path, line)

@@ -109,8 +109,7 @@ class TestFrameClasses:
         detection = Detection(AssemblyState.from_values([1]), 0.5)
         assert repr(DetectionFrame(2, 0.2, (detection,))) == (
             "DetectionFrame(frame=2, time_s=0.2, detections=(Detection(state="
-            "AssemblyState(statuses=(<ComponentStatus.INSTALLED: 1>,)), "
-            "confidence=0.5, box=None),))"
+            "(<ComponentStatus.INSTALLED: 1>,), confidence=0.5, box=None),))"
         )
         with pytest.raises(TypeError):
             hash(detection)
@@ -201,6 +200,14 @@ class TestB1:
         assert [e.action_id for e in undo] == ["c0:remove"]
         assert again == []  # a0 already emitted once
         assert recognizer.current_state == AssemblyState.from_values([1])
+
+    def test_belief_is_the_adopted_detection_state(self):
+        recognizer = StepRecognizer(BaselineConfig(Variant.B1), linear_spec(2))
+        first, second = det([0, 0], 0.9), det([1, 0], 0.9)
+        recognizer.process(frame(0, first))
+        assert recognizer.current_state is first.state
+        recognizer.process(frame(1, second))
+        assert recognizer.current_state is second.state
 
 
 class TestB2:

@@ -818,6 +818,7 @@ class TestScripts:
         root = Path(__file__).resolve().parent.parent
         pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=pythonpath)
+        outputs = []
         for argv in (
             ["bench_simulated.py", "--recordings", "3", "--out-dir", str(tmp_path)],
             ["metric_tables.py"],
@@ -827,9 +828,13 @@ class TestScripts:
                 env=env, capture_output=True, text=True,
             )
             assert result.returncode == 0, result.stderr
+            outputs.append(result.stdout)
         assert sorted(p.name for p in tmp_path.iterdir()) == [
             "bench_b1.csv", "bench_b2.csv", "bench_b3.csv"
         ]
+        rows = [line.split(":")[0] for line in outputs[0].splitlines()]
+        assert rows == [f"{b} {subset}" for b in ("b1", "b2", "b3")
+                        for subset in ("ALL", "ERRORS_ONLY")]
 
 
 class TestComposition:

@@ -112,7 +112,8 @@ class TestStreamRoundTrip:
                         st.floats(min_value=0.0, max_value=1.0),
                         st.sampled_from([0.0, 1.0, 1]),
                     ),
-                    st.none() | st.tuples(*[st.floats(allow_nan=False)] * 4),
+                    st.none()
+                    | st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),
                 ),
                 max_size=3,
             ),
@@ -141,8 +142,22 @@ class TestStreamRoundTrip:
             (DetectionFrame(2.0, 0.2), "frame must be an integer, got 2.0"),
             (DetectionFrame(0, 0.0, (Detection(AssemblyState.from_values([0]), True),)),
              "confidence must be a number, got True"),
+            *(
+                (
+                    DetectionFrame(0, 0.0, (Detection(AssemblyState.from_values([0]), 0.5, box),)),
+                    f"box must be four finite numbers, got {box!r}",
+                )
+                for box in [
+                    (0.0, math.inf, 1.0, 1.0),
+                    (0.0, math.nan, 1.0, 1.0),
+                    (1.0, 2.0, 3.0),
+                    (True, 0, 0, 0),
+                    (10**400, 0, 0, 0),
+                ]
+            ),
         ],
-        ids=["bool-frame", "float-frame", "bool-conf"],
+        ids=["bool-frame", "float-frame", "bool-conf", "inf-box", "nan-box", "three-box",
+             "bool-box", "huge-int-box"],
     )
     def test_rows_read_stream_refuses_are_not_written(self, tmp_path, frame, message):
         with pytest.raises(ValueError) as err:
@@ -1213,6 +1228,24 @@ class TestValidateFile:
         path = tmp_path / "s.jsonl"
         write_lines(path, ["[]", '{"frame":0,"detections":[]}'])
         assert validate_file(path) == [f"{path}:1: manifest line must be a JSON object"]
+
+    @pytest.mark.parametrize(
+        "kind, readers",
+        [
+            ("stream", (iter_stream_file, reference_read_stream)),
+            ("ground_truth", (read_ground_truth, reference_read_ground_truth)),
+        ],
+    )
+    def test_manifest_error_names_its_own_line(self, tmp_path, kind, readers):
+        path = tmp_path / "blank.jsonl"
+        manifest = {**json.loads(MANIFEST_LINE), "kind": kind, "fps": -1}
+        write_lines(path, ["", "", json.dumps(manifest)])
+        message = "fps must be positive and finite, got -1.0"
+        assert validate_file(path) == [f"{path}:3: {message}"]
+        for read in readers:
+            with pytest.raises(FormatError) as err:
+                read(path, linear_spec(3))
+            assert (err.value.message, err.value.line) == (message, 3)
 
     @pytest.mark.parametrize(
         "name, edit, message",

@@ -108,9 +108,26 @@ def state_texts(draw) -> str:
 def parse_outcome(parse, text):
     """The statuses a parser gives, or its ValueError message."""
     try:
-        return parse(text).statuses
+        return parse(text)
     except ValueError as exc:
         return str(exc)
+
+
+class TestStateIsItsTuple:
+    """A state is the tuple of its ComponentStatus members."""
+
+    def test_equals_and_hashes_as_the_int_tuple(self):
+        state = AssemblyState.from_values([1, 0, -1])
+        assert state == (1, 0, -1)
+        assert hash(state) == hash((1, 0, -1))
+
+    def test_has_no_instance_dict(self):
+        assert not hasattr(AssemblyState.from_values([1, 0]), "__dict__")
+
+    def test_replace_returns_a_state(self):
+        state = AssemblyState.from_values([0, 0]).replace(1, ComponentStatus.INCORRECT)
+        assert type(state) is AssemblyState
+        assert state == (0, -1)
 
 
 class TestParseStateAgainstReference:
@@ -287,6 +304,13 @@ class TestIsReachable:
         spec = load_builtin_procedure(name)
         assert_matches_expected_states(spec)
         assert_matches_expected_states(spec, itertools.product((0, 1), repeat=spec.n_components))
+
+    @settings(max_examples=50, deadline=None)
+    @given(procedures(max_components=4))
+    def test_int_tuple_in_expected_states(self, spec):
+        reachable = expected_states(spec)
+        for values in itertools.product((-1, 0, 1), repeat=spec.n_components):
+            assert (tuple(values) in reachable) == is_reachable(spec, values), values
 
     def test_matches_expected_states_on_wide_maintenance(self):
         spec = maintenance_spec()

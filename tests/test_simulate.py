@@ -271,7 +271,7 @@ class TestRenderStream:
         for detection_frame in scenario.stream:
             detected = detection_frame.detections[0].state
             truth = state_at(scenario, detection_frame.frame)
-            distance = sum(a != b for a, b in zip(detected.statuses, truth.statuses))
+            distance = sum(a != b for a, b in zip(detected, truth))
             assert distance == 1
 
     def test_error_fp_hides_all_mistakes(self):
@@ -286,7 +286,7 @@ class TestRenderStream:
             if is_error_state(state_at(scenario, detection_frame.frame)):
                 # the wrongly installed part reads as installed
                 truth = state_at(scenario, detection_frame.frame)
-                for got, actual in zip(detected.statuses, truth.statuses):
+                for got, actual in zip(detected, truth):
                     if actual is ComponentStatus.INCORRECT:
                         assert got is ComponentStatus.INSTALLED
 
