@@ -9,7 +9,7 @@ example predictions against a four-step ground truth.
 from __future__ import annotations
 
 from psrkit import evaluate_recording, pos_from_orders, weighted_damlev
-from psrkit.model import EventSource, StepEvent, StepSequence, Transition
+from psrkit.model import StepEvent, StepSequence, Transition
 
 
 def order_similarity_table() -> None:
@@ -32,7 +32,6 @@ def make_sequence(entries) -> StepSequence:
             transition=Transition.INSTALL,
             time_s=float(t),
             frame=int(t),
-            source=EventSource.GROUND_TRUTH,
         )
         for aid, t in entries
     ]

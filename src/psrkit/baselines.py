@@ -25,7 +25,6 @@ from dataclasses import dataclass
 
 from .model import (
     AssemblyState,
-    EventSource,
     ProcedureSpec,
     StepEvent,
     StepSequence,
@@ -122,7 +121,6 @@ class StepRecognizer:
     """
 
     def __init__(self, config: BaselineConfig, spec: ProcedureSpec):
-        spec.ensure_valid()
         self.config = config
         self.spec = spec
         # read on every frame, so looked up once
@@ -251,7 +249,6 @@ class StepRecognizer:
             time_s=frame.time_s,
             frame=frame.frame,
             confidence=confidence,
-            source=EventSource.RECOGNIZED,
         )
         self._events.append(event)
         return event

@@ -37,7 +37,6 @@ from .model import (
     parse_state_text,
     serialize_state,
     transition_target,
-    validate_procedure,
 )
 from .simulate import ErrorInjection, Scenario, SimConfig
 
@@ -76,6 +75,14 @@ class FileManifest:
     fps: float
     format_version: str = FORMAT_VERSION
     source: EventSource | None = None
+
+    def __post_init__(self):  # refuse what _parse_manifest refuses
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown file kind '{self.kind}'")
+        if not isinstance(self.recording_id, str):
+            raise ValueError(f"recording_id must be a string, got {self.recording_id!r}")
+        if not _finite_number(self.fps) or self.fps <= 0:
+            raise ValueError(f"fps must be positive and finite, got {self.fps!r}")
 
     def to_json(self) -> str:
         obj: dict = {
@@ -363,11 +370,12 @@ def read_stream(path) -> tuple[FileManifest, list[DetectionFrame]]:
 def write_stream(path, manifest: FileManifest, frames) -> None:
     """Write a detection-stream file (inverse of read_stream), frame by frame.
 
-    Each distinct state is serialized once and needs no JSON escaping. A
-    float conf without a box is formatted directly, as repr(float) is what
-    json.dumps writes; other detections use json.dumps. A non-int frame
-    index, a bool conf or a box other than four finite numbers, which
-    read_stream refuses, raises ValueError.
+    Each distinct state is serialized, and parsed back, once and needs no
+    JSON escaping. A float conf without a box is formatted directly, as
+    repr(float) is what json.dumps writes; other detections use json.dumps.
+    What read_stream refuses raises ValueError: a state text it cannot
+    parse, a non-int frame index, a bool conf or a box other than four
+    finite numbers.
     """
     texts: dict[AssemblyState, str] = {}
     state, text = object(), ""  # the last state looked up, and its text
@@ -380,7 +388,9 @@ def write_stream(path, manifest: FileManifest, frames) -> None:
                     state = det.state
                     text = texts.get(state)
                     if text is None:
-                        text = texts[state] = serialize_state(state)
+                        text = serialize_state(state)
+                        parse_state_text(text)  # read_stream's check, once per state
+                        texts[state] = text
                 if det.confidence.__class__ is float and det.box is None:
                     cells.append('{"state":"%s","conf":%r}' % (text, det.confidence))
                     continue
@@ -419,7 +429,6 @@ def read_ground_truth(path, spec: ProcedureSpec) -> tuple[FileManifest, StepSequ
     included; ``.correct_only()`` of the sequence drops those.
     """
     manifest, records = _read_rows(path, "ground_truth", spec)
-    source = manifest.source or EventSource.GROUND_TRUTH
     previous: AssemblyState | None = None
     events: list[StepEvent] = []
     seen: set[str] = set()
@@ -440,7 +449,6 @@ def read_ground_truth(path, spec: ProcedureSpec) -> tuple[FileManifest, StepSequ
                     time_s=time_s,
                     frame=frame,
                     confidence=confidence,
-                    source=source,
                 )
             )
         previous = state
@@ -472,7 +480,7 @@ def _writable_base_state(
 
 
 def write_ground_truth(
-    path, sequence: StepSequence, spec: ProcedureSpec, source: EventSource | None = None
+    path, sequence: StepSequence, spec: ProcedureSpec, source=EventSource.GROUND_TRUTH
 ) -> None:
     """Write a step sequence as state rows (inverse of read_ground_truth).
 
@@ -480,8 +488,6 @@ def write_ground_truth(
     go through json.dumps, as they would in a row dict's json.dumps.
     """
     state = _writable_base_state(sequence, spec.initial_state)
-    if source is None:
-        source = sequence.events[0].source if sequence.events else EventSource.GROUND_TRUTH
     manifest = FileManifest(
         kind="ground_truth",
         recording_id=sequence.recording_id,
@@ -581,16 +587,15 @@ def _procedure_from_document(document: dict, path) -> ProcedureSpec:
                 description=str(raw.get("description", "")),
             )
         )
-    spec = ProcedureSpec(
-        id=document["id"],
-        components=tuple(names),
-        actions=tuple(actions),
-        initial_state=initial,
-    )
-    diagnostics = validate_procedure(spec)
-    if diagnostics:
-        raise FormatError("; ".join(diagnostics), path)
-    return spec
+    try:
+        return ProcedureSpec(
+            id=document["id"],
+            components=tuple(names),
+            actions=tuple(actions),
+            initial_state=initial,
+        )
+    except ValueError as exc:  # the procedure's own diagnostics
+        raise FormatError(str(exc), path) from None
 
 
 def read_procedure(path) -> ProcedureSpec:

@@ -111,15 +111,19 @@ class ProceduralAction:
 class ProcedureSpec:
     """A procedure: ordered component names, actions, and the start state.
 
-    Construction is permissive; run validate_procedure (or ensure_valid)
-    to check the invariants, so that a broken definition can still be
-    loaded and diagnosed.
+    Valid by construction: a definition that validate_procedure finds
+    fault with raises ValueError, its diagnostics joined by "; ".
     """
 
     id: str
     components: tuple[str, ...]
     actions: tuple[ProceduralAction, ...]
     initial_state: AssemblyState
+
+    def __post_init__(self):
+        diagnostics = validate_procedure(self)
+        if diagnostics:
+            raise ValueError("; ".join(diagnostics))
 
     @property
     def n_components(self) -> int:
@@ -139,13 +143,6 @@ class ProcedureSpec:
     def action_for(self, component: int, transition: Transition) -> ProceduralAction | None:
         """The action defining this (component, transition) pair, if any."""
         return self._by_pair.get((component, transition._value_))
-
-    def ensure_valid(self) -> None:
-        diagnostics = validate_procedure(self)
-        if diagnostics:
-            raise ValueError(
-                f"invalid procedure '{self.id}': " + "; ".join(diagnostics)
-            )
 
     def step_id(self, component: int, transition: Transition) -> str:
         """Stable identifier for an observed component transition.
@@ -176,7 +173,6 @@ class StepEvent:
     time_s: float
     frame: int
     confidence: float = 1.0
-    source: EventSource = EventSource.RECOGNIZED
 
     def __post_init__(self):
         frame, confidence = self.frame, self.confidence
@@ -335,7 +331,6 @@ def expected_states(spec: ProcedureSpec) -> frozenset[AssemblyState]:
     is_reachable, which B3 uses. This listing is kept for callers that
     need every state and as the reference is_reachable is tested against.
     """
-    spec.ensure_valid()
     initial = spec.initial_state
     start = (initial, frozenset())
     seen_configs = {start}
@@ -362,8 +357,7 @@ def is_reachable(spec: ProcedureSpec, values) -> bool:
     """Whether the state ``values`` occurs in some correct execution of ``spec``.
 
     Same verdict as ``tuple(values) in expected_states(spec)``, in time
-    polynomial in the procedure's size. ``spec`` must be valid (see
-    validate_procedure).
+    polynomial in the procedure's size.
 
     A correct execution so far is a prerequisite-closed set of actions,
     each applied once, in an order that respects the prerequisites. A
@@ -422,6 +416,11 @@ def validate_procedure(spec: ProcedureSpec) -> list[str]:
         diagnostics.append(
             f"initial state has {len(spec.initial_state)} components, expected {n}"
         )
+    for component, value in enumerate(spec.initial_state):
+        if value not in (-1, 0, 1):
+            diagnostics.append(
+                f"initial state component {component} is {value!r}, expected -1, 0 or 1"
+            )
     ids: set[str] = set()
     pairs: set[tuple[int, Transition]] = set()
     for action in spec.actions:

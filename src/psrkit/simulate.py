@@ -20,7 +20,6 @@ from .baselines import Detection, DetectionFrame
 from .model import (
     AssemblyState,
     ComponentStatus,
-    EventSource,
     ProcedureSpec,
     StepEvent,
     StepSequence,
@@ -239,8 +238,9 @@ def _sample_order(spec: ProcedureSpec, rng: random.Random) -> list[str]:
     return order
 
 
-# the last frame index a stream or step file can hold: readers take 18 digits
-MAX_FRAME = 10**18 - 1
+# the last frame index of a simulated recording: 10**7 frames is 11.6 days at
+# 10 fps, so a setting that passes it is refused before any frame is written
+MAX_FRAME = 10**7 - 1
 
 
 def _checked_frame(frame, cfg: SimConfig):
@@ -272,7 +272,6 @@ def sample_execution(
     recording whose last frame, the trailing dwell included, would pass
     MAX_FRAME raises ValueError.
     """
-    spec.ensure_valid()
     _validate_injection(spec, injection)
     if rng is None:
         rng = random.Random(cfg.seed)
@@ -312,7 +311,6 @@ def sample_execution(
                 time_s=frame / cfg.fps,
                 frame=frame,
                 confidence=1.0,
-                source=EventSource.GROUND_TRUTH,
             )
         )
     _checked_frame(_frame_count(frame, cfg) - 1, cfg)

@@ -232,7 +232,7 @@ def reference_recognise(config: BaselineConfig, spec: ProcedureSpec, frames) -> 
                 emitted.add(action_id)
                 events.append(
                     StepEvent(action_id, component, transition, frame.time_s, frame.frame,
-                              confidence, EventSource.RECOGNIZED)
+                              confidence)
                 )
         out.append((events, tuple(confs), None if belief is None else tuple(belief)))
     return out
@@ -360,14 +360,14 @@ def reference_write_stream(path, manifest, frames) -> None:
             handle.write(json.dumps(row, separators=(",", ":")) + "\n")
 
 
-def reference_write_ground_truth(path, sequence, spec: ProcedureSpec, source=None) -> None:
+def reference_write_ground_truth(
+    path, sequence, spec: ProcedureSpec, source=EventSource.GROUND_TRUTH
+) -> None:
     """A step file written the plain way: one row dict and json.dumps per row.
 
     The step writer before it formatted its rows itself; it must write
     the same bytes for the same sequence.
     """
-    if source is None:
-        source = sequence.events[0].source if sequence.events else EventSource.GROUND_TRUTH
     manifest = FileManifest(
         kind="ground_truth", recording_id=sequence.recording_id, fps=sequence.fps, source=source
     )
@@ -502,10 +502,8 @@ def reference_read_ground_truth(path, spec: ProcedureSpec | None = None):
                         raise FormatError(
                             f"duplicate completion of '{action_id}'", path, line
                         )
-                    source = manifest.source or EventSource.GROUND_TRUTH
                     events.append(
-                        StepEvent(action_id, component, transition, time_s, frame,
-                                  confidence, source)
+                        StepEvent(action_id, component, transition, time_s, frame, confidence)
                     )
             previous = state
     if manifest is None:
@@ -546,7 +544,6 @@ def event(
     fps: float = 1.0,
     transition: Transition = Transition.INSTALL,
     confidence: float = 1.0,
-    source: EventSource = EventSource.GROUND_TRUTH,
 ) -> StepEvent:
     frame = round(time_s * fps)
     return StepEvent(
@@ -556,7 +553,6 @@ def event(
         time_s=frame / fps,
         frame=frame,
         confidence=confidence,
-        source=source,
     )
 
 

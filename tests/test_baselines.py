@@ -146,14 +146,14 @@ class TestInitialization:
     def test_rejects_invalid_spec(self):
         from psrkit.model import ProceduralAction, ProcedureSpec
 
-        bad = ProcedureSpec(
-            id="bad",
-            components=("x",),
-            actions=(ProceduralAction("a", 5, Transition.INSTALL),),
-            initial_state=AssemblyState.from_values([0]),
-        )
-        with pytest.raises(ValueError, match="invalid procedure"):
-            StepRecognizer(BaselineConfig(Variant.B1), bad)
+        # the procedure refuses itself, so no recognizer gets built on it
+        with pytest.raises(ValueError, match="references component 5"):
+            ProcedureSpec(
+                id="bad",
+                components=("x",),
+                actions=(ProceduralAction("a", 5, Transition.INSTALL),),
+                initial_state=AssemblyState.from_values([0]),
+            )
 
 
 class TestB1:

@@ -87,6 +87,25 @@ class TestValidate:
             err = capsys.readouterr().err
             assert f"{spec_path}: 'initial_state' must be a state string" in err
 
+    def test_invalid_procedure_names_every_diagnostic(self, tmp_path, capsys):
+        # ProcedureSpec refuses the definition; the reader locates its message
+        path = tmp_path / "bad.json"
+        document = {
+            "format_version": "1.0.0", "kind": "procedure", "id": "bad",
+            "components": [{"index": 0, "name": "x"}, {"index": 1, "name": "y"}],
+            "initial_state": "0,0,1",
+            "actions": [
+                {"id": "a", "component": 0, "transition": "install", "requires": ["b", "ghost"]},
+                {"id": "b", "component": 1, "transition": "install", "requires": ["a"]},
+            ],
+        }
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            f"{path}: initial state has 3 components, expected 2; action 'a' requires "
+            "unknown action 'ghost'; prerequisite graph contains a cycle\n"
+        )
+
     def test_ground_truth_with_spec(self, tmp_path):
         _, _, paths = make_scenario_files(tmp_path)
         assert main(["validate", "--spec", CAR, str(paths["ground_truth"])]) == 0
@@ -386,14 +405,10 @@ class TestEval:
         spec_path = tmp_path / "chain.json"
         write_procedure(spec_path, spec)
         gt = sequence("rec", [("a0", 5, 0), ("a1", 10, 1), ("a2", 15, 2), ("a3", 20, 3)])
-        pred = sequence(
-            "rec",
-            [("a0", 5, 0), ("a1", 10, 1), ("a3", 20, 3), ("a2", 25, 2)],
-            source=EventSource.RECOGNIZED,
-        )
+        pred = sequence("rec", [("a0", 5, 0), ("a1", 10, 1), ("a3", 20, 3), ("a2", 25, 2)])
         gt_path, pred_path = tmp_path / "gt.jsonl", tmp_path / "pred.jsonl"
         write_ground_truth(gt_path, gt, spec)
-        write_ground_truth(pred_path, pred, spec)
+        write_ground_truth(pred_path, pred, spec, source=EventSource.RECOGNIZED)
         rc = main(
             ["eval", "--spec", str(spec_path), "--gt", str(gt_path), "--pred", str(pred_path)]
         )
@@ -503,10 +518,13 @@ class TestSimulateCommand:
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "fields", ['{"fps": 1e308}', '{"dwell_mean_s": 1e308}', '{"fps": 1e-320}', '{"fps": 1e30}']
+        "fields",
+        ['{"fps": 1e308}', '{"dwell_mean_s": 1e308}', '{"fps": 1e-320}', '{"fps": 1e30}',
+         '{"fps": 1e16}'],
     )
     def test_recording_past_the_last_frame_index_is_rejected(self, tmp_path, capsys, fields):
-        # these once exited 2 (round of an infinite time) or wrote without bound
+        # these once exited 2 (round of an infinite time) or wrote without bound;
+        # at 1e16 fps the recording would be about 3.5e17 frames long
         config = tmp_path / "cfg.json"
         config.write_text(fields, encoding="utf-8")
         out = tmp_path / "sim"
@@ -516,7 +534,7 @@ class TestSimulateCommand:
         )
         assert rc == 1
         err = capsys.readouterr().err
-        assert "put the recording's last frame past index 999999999999999999" in err
+        assert "put the recording's last frame past index 9999999" in err
         assert f"fps {json.loads(fields).get('fps', 10.0)}," in err
         assert not list(tmp_path.rglob("*.stream.jsonl"))
 
@@ -857,6 +875,29 @@ class TestComposition:
         row = json.loads(capsys.readouterr().out)
         assert (row["pos"], row["f1"], row["tau_s"]) == (1.0, 1.0, 0.0)
         assert (row["tp"], row["fp"], row["fn"]) == (10, 0, 0)
+
+    def test_wide_procedure_file_over_twenty_seeds(self, tmp_path, capsys):
+        # the benchmark's 15-component procedure, with parts removed and refitted
+        spec = maintenance_spec()
+        spec_path = tmp_path / "wide.procedure.json"
+        write_procedure(spec_path, spec)
+        out = tmp_path / "sim"
+        for seed in range(1, 21):
+            rid = f"wide{seed}"
+            pred = out / f"{rid}.pred.jsonl"
+            for argv in (
+                ["simulate", "--spec", spec_path, "--seed", seed, "--out-dir", out,
+                 "--recording-id", rid],
+                ["run", "--baseline", "b3", "--spec", spec_path,
+                 "--stream", out / f"{rid}.stream.jsonl", "--out", pred],
+                ["eval", "--spec", spec_path, "--gt", out / f"{rid}.gt.jsonl", "--pred", pred],
+            ):
+                assert main([str(a) for a in argv]) == 0, (argv, capsys.readouterr().err)
+            _, truth = read_ground_truth(out / f"{rid}.gt.jsonl", spec)
+            assert sorted(truth.action_ids()) == sorted(a.action_id for a in spec.actions)
+            manifest, predicted = read_ground_truth(pred, spec)
+            assert (manifest.recording_id, manifest.source) == (rid, EventSource.RECOGNIZED)
+            assert set(predicted.action_ids()) <= set(truth.action_ids())
 
 
 class TestUsage:

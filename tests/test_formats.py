@@ -155,9 +155,13 @@ class TestStreamRoundTrip:
                     (10**400, 0, 0, 0),
                 ]
             ),
+            (DetectionFrame(0, 0.0, (Detection(AssemblyState((2, 0)), 0.5),)),
+             "component status must be -1, 0 or 1, got 2"),
+            (DetectionFrame(0, 0.0, (Detection(AssemblyState(()), 0.5),)),
+             "empty state string"),
         ],
         ids=["bool-frame", "float-frame", "bool-conf", "inf-box", "nan-box", "three-box",
-             "bool-box", "huge-int-box"],
+             "bool-box", "huge-int-box", "status-2", "empty-state"],
     )
     def test_rows_read_stream_refuses_are_not_written(self, tmp_path, frame, message):
         with pytest.raises(ValueError) as err:
@@ -200,6 +204,41 @@ def write_lines(path, lines):
 MANIFEST_LINE = json.dumps(
     {"format_version": "1.0.0", "kind": "stream", "recording_id": "rec", "fps": 10.0}
 )
+
+
+class TestManifestRefusals:
+    """FileManifest refuses what the manifest reader refuses, so no writer writes it."""
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("kind", "video", "unknown file kind 'video'"),
+            ("recording_id", 7, "recording_id must be a string, got 7"),
+            *(("fps", fps, f"fps must be positive and finite, got {fps!r}")
+              for fps in [math.inf, math.nan, 0.0, -1.0, True, "10", None, 10**400]),
+        ],
+        ids=["kind", "recording-id", "inf-fps", "nan-fps", "zero-fps", "negative-fps",
+             "bool-fps", "str-fps", "none-fps", "huge-int-fps"],
+    )
+    def test_refused_fields(self, field, value, message):
+        fields = dict(kind="stream", recording_id="rec", fps=FPS)
+        with pytest.raises(ValueError) as err:
+            FileManifest(**{**fields, field: value})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("fps", [1, 1e-300, 1.5e308])
+    def test_accepted_fps_reads_back(self, tmp_path, fps):
+        path = tmp_path / "s.jsonl"
+        write_stream(path, stream_manifest(fps=fps), [])
+        assert read_stream(path)[0] == stream_manifest(fps=float(fps))
+
+    @pytest.mark.parametrize("recording_id, fps", [(7, FPS), ("rec", True)])
+    def test_step_writer_refuses_before_writing(self, tmp_path, recording_id, fps):
+        # StepSequence takes both; the manifest does not
+        path = tmp_path / "gt.jsonl"
+        with pytest.raises(ValueError):
+            write_ground_truth(path, StepSequence(recording_id, fps), linear_spec(1))
+        assert not path.exists()
 
 
 class TestStreamErrors:
@@ -592,7 +631,6 @@ class TestGroundTruthFiles:
         event = back.events[0]
         assert (event.action_id, event.component, event.frame) == ("a0", 0, 50)
         assert event.transition is Transition.INSTALL
-        assert event.source is EventSource.GROUND_TRUTH
 
     def test_incorrect_transition_and_views(self, tmp_path):
         spec = linear_spec(3)
@@ -769,11 +807,12 @@ class TestGroundTruthFiles:
             if action_id not in seen:  # a sequence holds each step once
                 seen.add(action_id)
                 events.append(StepEvent(action_id, component, transition, frame / fps, frame,
-                                        conf, source))
+                                        conf))
         sequence = StepSequence.from_events("rec", fps, events)
         path = tmp_path_factory.mktemp("round-trip") / "gt.jsonl"
-        write_ground_truth(path, sequence, spec)
-        assert read_ground_truth(path, spec)[1] == sequence
+        write_ground_truth(path, sequence, spec, source=source)
+        manifest, back = read_ground_truth(path, spec)
+        assert (manifest.source, back) == (source, sequence)
 
 
 @pytest.fixture(scope="module")

@@ -232,17 +232,17 @@ class TestExpectedStates:
         assert expected_states(maintenance_spec) == oracle_expected_states(maintenance_spec)
 
     def test_rejects_cycle(self):
-        spec = ProcedureSpec(
-            id="cyclic",
-            components=("x", "y"),
-            actions=(
-                ProceduralAction("a", 0, Transition.INSTALL, frozenset({"b"})),
-                ProceduralAction("b", 1, Transition.INSTALL, frozenset({"a"})),
-            ),
-            initial_state=AssemblyState.from_values([0, 0]),
-        )
+        # a cyclic procedure cannot be built, so expected_states never sees one
         with pytest.raises(ValueError, match="cycle"):
-            expected_states(spec)
+            ProcedureSpec(
+                id="cyclic",
+                components=("x", "y"),
+                actions=(
+                    ProceduralAction("a", 0, Transition.INSTALL, frozenset({"b"})),
+                    ProceduralAction("b", 1, Transition.INSTALL, frozenset({"a"})),
+                ),
+                initial_state=AssemblyState.from_values([0, 0]),
+            )
 
 
 @st.composite
@@ -349,24 +349,30 @@ class TestIsErrorState:
         assert is_error_state(state_of([0, 0, -1, 0]))
 
 
+def construction_diagnostics(**fields) -> list[str]:
+    """The diagnostics with which ProcedureSpec refuses a definition."""
+    with pytest.raises(ValueError) as err:
+        ProcedureSpec(**fields)
+    return str(err.value).split("; ")
+
+
 class TestValidateProcedure:
     def test_bundled_specs_are_clean(self, car_spec, maintenance_spec):
         assert validate_procedure(car_spec) == []
         assert validate_procedure(maintenance_spec) == []
 
     def test_unknown_component(self):
-        spec = ProcedureSpec(
+        diagnostics = construction_diagnostics(
             id="bad",
             components=tuple(f"c{i}" for i in range(11)),
             actions=(ProceduralAction("a", 99, Transition.INSTALL),),
             initial_state=AssemblyState.from_values([0] * 11),
         )
-        diagnostics = validate_procedure(spec)
         assert len(diagnostics) == 1
         assert "99" in diagnostics[0]
 
     def test_cycle(self):
-        spec = ProcedureSpec(
+        diagnostics = construction_diagnostics(
             id="bad",
             components=("x", "y"),
             actions=(
@@ -375,10 +381,10 @@ class TestValidateProcedure:
             ),
             initial_state=AssemblyState.from_values([0, 0]),
         )
-        assert any("cycle" in d for d in validate_procedure(spec))
+        assert any("cycle" in d for d in diagnostics)
 
     def test_duplicate_pair_and_id(self):
-        spec = ProcedureSpec(
+        diagnostics = construction_diagnostics(
             id="bad",
             components=("x",),
             actions=(
@@ -387,38 +393,63 @@ class TestValidateProcedure:
             ),
             initial_state=AssemblyState.from_values([0]),
         )
-        diagnostics = validate_procedure(spec)
         assert any("duplicate action id" in d for d in diagnostics)
         assert any("more than once" in d for d in diagnostics)
 
     def test_unknown_prerequisite(self):
-        spec = ProcedureSpec(
+        diagnostics = construction_diagnostics(
             id="bad",
             components=("x",),
             actions=(ProceduralAction("a", 0, Transition.INSTALL, frozenset({"ghost"})),),
             initial_state=AssemblyState.from_values([0]),
         )
-        assert any("ghost" in d for d in validate_procedure(spec))
+        assert any("ghost" in d for d in diagnostics)
 
     def test_incorrect_transition_not_prescribable(self):
-        spec = ProcedureSpec(
+        diagnostics = construction_diagnostics(
             id="bad",
             components=("x",),
             actions=(ProceduralAction("a", 0, Transition.INCORRECT),),
             initial_state=AssemblyState.from_values([0]),
         )
-        assert validate_procedure(spec) == [
-            "action 'a' may not prescribe an incorrect transition"
-        ]
+        assert diagnostics == ["action 'a' may not prescribe an incorrect transition"]
 
     def test_initial_state_length(self):
-        spec = ProcedureSpec(
+        diagnostics = construction_diagnostics(
             id="bad",
             components=("x", "y"),
             actions=(),
             initial_state=AssemblyState.from_values([0, 0, 0]),
         )
-        assert any("initial state" in d for d in validate_procedure(spec))
+        assert any("initial state" in d for d in diagnostics)
+
+    def test_initial_state_values(self):
+        # write_ground_truth would write "2,0" as the base row, which its reader refuses
+        diagnostics = construction_diagnostics(
+            id="p",
+            components=("x", "y"),
+            actions=(ProceduralAction("a", 1, Transition.INSTALL),),
+            initial_state=AssemblyState((2, 0)),
+        )
+        assert diagnostics == ["initial state component 0 is 2, expected -1, 0 or 1"]
+
+    def test_every_diagnostic_in_one_error(self):
+        diagnostics = construction_diagnostics(
+            id="bad",
+            components=("x",),
+            actions=(
+                ProceduralAction("a", 3, Transition.INSTALL, frozenset({"ghost"})),
+                ProceduralAction("b", 0, Transition.INCORRECT),
+            ),
+            initial_state=AssemblyState(("1", 0)),
+        )
+        assert diagnostics == [
+            "initial state has 2 components, expected 1",
+            "initial state component 0 is '1', expected -1, 0 or 1",
+            "action 'a' references component 3 of a 1-component procedure",
+            "action 'b' may not prescribe an incorrect transition",
+            "action 'a' requires unknown action 'ghost'",
+        ]
 
 
 class TestStepIds:

@@ -1,17 +1,23 @@
 """Byte check of the CLI pipeline: the sha256 of every file the commands write.
 
-simulate → run b1/b2/b3 → eval → bench over both builtin procedures, at
-fixed seeds. A change to any reader, writer, recognizer or metric that
-alters one output byte fails here, so "byte-identical outputs" is a
-test rather than a claim. After an intended change of output, print
-``_pipeline_digests(tmp_path)`` and paste it into PINNED.
+simulate → run b1/b2/b3 → eval → bench over both builtin procedures and
+the 15-component procedure of ``helpers.maintenance_spec()``, written as
+a procedure file, at fixed seeds. A change to any reader, writer,
+recognizer or metric that alters one output byte fails here, so
+"byte-identical outputs" is a test rather than a claim. After an
+intended change of output, print ``_pipeline_digests(tmp_path)`` and
+paste it into PINNED.
 """
 
 from __future__ import annotations
 
 import hashlib
 
+from helpers import maintenance_spec
 from psrkit.cli import main
+from psrkit.formats import write_procedure
+
+WIDE = "wide_maintenance"  # maintenance_spec()'s id, read from <root>/wide_maintenance.json
 
 # (procedure, seed, extra simulate flags) per simulated recording
 RECORDINGS = (
@@ -26,6 +32,7 @@ RECORDINGS = (
         "--omit", "refit_rear_wheel_assy", "--incorrect", "install_short_rear_chassis",
         "--swap", "1",
     )),
+    (WIDE, 5, ("--incorrect", "install_part2")),
 )
 BASELINES = ("b1", "b2", "b3")
 
@@ -42,22 +49,26 @@ def _pipeline_digests(root) -> dict[str, str]:
     """
     for directory in ("eval", "bench"):
         (root / directory).mkdir()
+    write_procedure(root / f"{WIDE}.json", maintenance_spec())
+    spec_args = {WIDE: root / f"{WIDE}.json"}
     for spec, seed, flags in RECORDINGS:
         runs = root / spec
-        _run(["simulate", "--spec", spec, "--seed", seed, "--out-dir", runs, *flags])
+        spec_arg = spec_args.get(spec, spec)
+        _run(["simulate", "--spec", spec_arg, "--seed", seed, "--out-dir", runs, *flags])
         rid = f"{spec}-seed{seed}"
         for baseline in BASELINES:
             pred = runs / baseline / f"{rid}.pred.jsonl"
             pred.parent.mkdir(exist_ok=True)
-            _run(["run", "--baseline", baseline, "--spec", spec,
+            _run(["run", "--baseline", baseline, "--spec", spec_arg,
                   "--stream", runs / f"{rid}.stream.jsonl", "--out", pred])
             (pred.parent / f"{rid}.gt.jsonl").write_bytes((runs / f"{rid}.gt.jsonl").read_bytes())
-            _run(["eval", "--spec", spec, "--gt", runs / f"{rid}.gt.jsonl", "--pred", pred,
+            _run(["eval", "--spec", spec_arg, "--gt", runs / f"{rid}.gt.jsonl", "--pred", pred,
                   "--out", root / "eval" / f"{rid}.{baseline}.json"])
     for spec in {spec for spec, _, _ in RECORDINGS}:
         for baseline in BASELINES:
             for fmt in ("csv", "json"):
-                _run(["bench", "--spec", spec, "--runs", root / spec / baseline,
+                _run(["bench", "--spec", spec_args.get(spec, spec),
+                      "--runs", root / spec / baseline,
                       "--out", root / "bench" / f"{spec}.{baseline}.{fmt}", "--format", fmt])
     return {
         path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
@@ -124,6 +135,23 @@ PINNED = {
     "industreal_car_maintenance/industreal_car_maintenance-seed7.gt.jsonl": "e7c2af203f00e1b7c7289c308a1f92670576d171d1257a28fb5831c618d07a54",
     "industreal_car_maintenance/industreal_car_maintenance-seed7.scenario.json": "9f7ce1570f555122048777b9427e1e3191a0782cb6e52efa3388ba81d7ae2ebb",
     "industreal_car_maintenance/industreal_car_maintenance-seed7.stream.jsonl": "f3e7d528a83fd56e7a68091b042807ddc53fd8ebb89f81f072d6d5064ea6300c",
+    # the wide procedure file and its recording
+    "bench/wide_maintenance.b1.csv": "85adb2e90c354c4f2cd2d913a132ff4663ef2b8bb58e72d8b11bacc309f3f1da",
+    "bench/wide_maintenance.b1.json": "fa8f140f259afec3f73d8f15065faed494fe772c3f1c922663f6e7a2c3375679",
+    "bench/wide_maintenance.b2.csv": "d6c89d81e169509ae2a547a70cd994ee1c49b6ee98483b6aa9bceeb9fc55f2a2",
+    "bench/wide_maintenance.b2.json": "4817562a333faaef317d9eb8ecca53934ac4b3a2abb786bc32c962edf3141788",
+    "bench/wide_maintenance.b3.csv": "d6c89d81e169509ae2a547a70cd994ee1c49b6ee98483b6aa9bceeb9fc55f2a2",
+    "bench/wide_maintenance.b3.json": "4817562a333faaef317d9eb8ecca53934ac4b3a2abb786bc32c962edf3141788",
+    "eval/wide_maintenance-seed5.b1.json": "fa8f140f259afec3f73d8f15065faed494fe772c3f1c922663f6e7a2c3375679",
+    "eval/wide_maintenance-seed5.b2.json": "4817562a333faaef317d9eb8ecca53934ac4b3a2abb786bc32c962edf3141788",
+    "eval/wide_maintenance-seed5.b3.json": "4817562a333faaef317d9eb8ecca53934ac4b3a2abb786bc32c962edf3141788",
+    "wide_maintenance.json": "589c4e485a81b9042de899e5d975f5ffc3f5e4cbcf2377e0e938cc621b55c375",
+    "wide_maintenance/b1/wide_maintenance-seed5.pred.jsonl": "f476661d48ae303daa64d636f9ebea395fa15d1d66880538a9ad102ffc0f0f73",
+    "wide_maintenance/b2/wide_maintenance-seed5.pred.jsonl": "0d26d1124fd62aacb0aaff624e05e65acf975b61b7e6b6fde1c63d9f77f41727",
+    "wide_maintenance/b3/wide_maintenance-seed5.pred.jsonl": "0d26d1124fd62aacb0aaff624e05e65acf975b61b7e6b6fde1c63d9f77f41727",
+    "wide_maintenance/wide_maintenance-seed5.gt.jsonl": "9940f217e92d9550b08007071698bd9575df9b2000c37cad1c63d7e09221315f",
+    "wide_maintenance/wide_maintenance-seed5.scenario.json": "645e4a10eef423d7eac5a7834f94500e84c07d0fba0e126bc0de30cfc69324ba",
+    "wide_maintenance/wide_maintenance-seed5.stream.jsonl": "9f1abcfa913a901a41adceba1f9eefe717ceb6ed637104cd67642116fffbc855",
 }
 
 

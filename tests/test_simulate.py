@@ -27,6 +27,7 @@ from psrkit.model import (
     is_error_state,
 )
 from psrkit.simulate import (
+    MAX_FRAME,
     ErrorInjection,
     Scenario,
     SimConfig,
@@ -237,12 +238,15 @@ class TestSampleExecution:
 
     def test_last_frame_index_bound_is_exact(self):
         # one action at dwell 1 s: its frame and the trailing dwell are each
-        # round(fps), so the last frame index is 2 * round(fps) - 1
+        # round(fps), so the last frame index is 2 * round(fps) - 1; round()
+        # takes 5e6 + 0.5 down to 5e6 (index 10**7 - 1), the next float up to 5e6 + 1
         spec = linear_spec(1)
-        at_bound = SimConfig(fps=5e17, dwell_mean_s=1.0, dwell_jitter_s=0.0)
+        at_bound = SimConfig(fps=5e6 + 0.5, dwell_mean_s=1.0, dwell_jitter_s=0.0)
         sequence, _ = sample_execution(spec, cfg=at_bound)
-        assert sequence.events[0].frame == 5 * 10**17
-        past = SimConfig(fps=math.nextafter(5e17, math.inf), dwell_mean_s=1.0, dwell_jitter_s=0.0)
+        assert sequence.events[0].frame == 5 * 10**6
+        assert MAX_FRAME == 10**7 - 1
+        past = SimConfig(fps=math.nextafter(5e6 + 0.5, math.inf), dwell_mean_s=1.0,
+                         dwell_jitter_s=0.0)
         with pytest.raises(ValueError) as err:
             sample_execution(spec, cfg=past)
         assert str(err.value).startswith(f"fps {past.fps}, dwell_mean_s 1.0")
