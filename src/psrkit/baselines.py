@@ -20,7 +20,6 @@ events depend only on the past.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 from .model import (
@@ -28,6 +27,7 @@ from .model import (
     ProcedureSpec,
     StepEvent,
     StepSequence,
+    finite_number,
     is_reachable,
     transition_to,
 )
@@ -100,9 +100,9 @@ class BaselineConfig:
             object.__setattr__(self, "threshold", 0.5 if self.variant is Variant.B1 else 8.0)
         if self.decay is None:
             object.__setattr__(self, "decay", 0.75)
-        if not 0 <= self.threshold < math.inf:
+        if not finite_number(self.threshold) or self.threshold < 0:
             raise ValueError(f"threshold must be finite and >= 0, got {self.threshold}")
-        if not 0.0 < self.decay <= 1.0:
+        if not finite_number(self.decay) or not 0.0 < self.decay <= 1.0:
             raise ValueError("decay must be in (0, 1]")
 
 

@@ -34,6 +34,7 @@ from .model import (
     Transition,
     apply_transition,
     diff_states,
+    finite_number,
     parse_state_text,
     serialize_state,
     transition_target,
@@ -81,7 +82,7 @@ class FileManifest:
             raise ValueError(f"unknown file kind '{self.kind}'")
         if not isinstance(self.recording_id, str):
             raise ValueError(f"recording_id must be a string, got {self.recording_id!r}")
-        if not _finite_number(self.fps) or self.fps <= 0:
+        if not finite_number(self.fps) or self.fps <= 0:
             raise ValueError(f"fps must be positive and finite, got {self.fps!r}")
 
     def to_json(self) -> str:
@@ -111,25 +112,11 @@ def _check_version(version, path, line) -> None:
 
 
 def _as_number(value, what, path, line) -> float:
+    if finite_number(value):
+        return float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"{what} must be a number", path, line)
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise FormatError(f"{what} must be finite, got {value}", path, line)
-    return number
-
-
-def _finite_number(value) -> bool:
-    """Whether _as_number takes value: a non-bool int or float, finite as a float."""
-    if value.__class__ is bool or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int past the float range
-        return False
+    raise FormatError(f"{what} must be finite, got {value}", path, line)
 
 
 def _as_int(value, what, path, line) -> int:
@@ -278,9 +265,7 @@ def _state_rows(path, kind, spec: ProcedureSpec | None):
                     continue
                 if not isinstance(obj, dict):
                     raise FormatError(f"{noun} record must be a JSON object", path, line)
-                frame = obj.get("frame")
-                if frame.__class__ is not int:  # so a bool goes on to _as_int, which rejects it
-                    frame = _as_int(frame, "'frame'", path, line)
+                frame = _as_int(obj.get("frame"), "'frame'", path, line)
                 if frame < 0:
                     raise FormatError(f"frame index must be non-negative, got {frame}", path, line)
             if frame <= last_frame and (stream or frame < last_frame):
@@ -346,9 +331,7 @@ def _frame_record(path, line, frame, time_s, obj, state_of) -> DetectionFrame:
         if not isinstance(raw, dict):
             raise FormatError("detection must be a JSON object", path, line)
         state = state_of(raw.get("state"), line)
-        confidence = raw.get("conf")
-        if confidence.__class__ is not float or not 0.0 <= confidence <= 1.0:
-            confidence = _as_number(confidence, "'conf'", path, line)  # names NaN and inf
+        confidence = _as_number(raw.get("conf"), "'conf'", path, line)
         box = raw.get("box")
         if box is not None:
             if not isinstance(box, list) or len(box) != 4:
@@ -373,15 +356,30 @@ def write_stream(path, manifest: FileManifest, frames) -> None:
     Each distinct state is serialized, and parsed back, once and needs no
     JSON escaping. A float conf without a box is formatted directly, as
     repr(float) is what json.dumps writes; other detections use json.dumps.
-    What read_stream refuses raises ValueError: a state text it cannot
-    parse, a non-int frame index, a bool conf or a box other than four
-    finite numbers.
+    What read_stream refuses raises ValueError: a non-int frame index, one
+    that does not exceed the previous frame's or whose time frame / fps is
+    not finite, a state text it cannot parse, a state whose width differs
+    from the first state's, a bool conf or a box other than four finite
+    numbers.
     """
     texts: dict[AssemblyState, str] = {}
     state, text = object(), ""  # the last state looked up, and its text
+    fps, inf, last, width = float(manifest.fps), math.inf, -1, None  # fps as read back
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(manifest.to_json() + "\n")
         for frame in frames:
+            index = frame.frame
+            if index.__class__ is not int:
+                raise ValueError(f"frame must be an integer, got {index!r}")
+            if index <= last:
+                raise ValueError(f"frame {index} out of order (previous was {last})")
+            try:
+                time_s = index / fps
+            except OverflowError:  # an index past the float range
+                time_s = inf
+            if time_s == inf:
+                raise ValueError(f"frame {index}: frame / fps is not a finite time (fps {fps})")
+            last = index
             cells = []
             for det in frame.detections:
                 if det.state is not state:
@@ -389,7 +387,14 @@ def write_stream(path, manifest: FileManifest, frames) -> None:
                     text = texts.get(state)
                     if text is None:
                         text = serialize_state(state)
-                        parse_state_text(text)  # read_stream's check, once per state
+                        parse_state_text(text)  # read_stream's checks, once per state
+                        if width is None:
+                            width = len(state)
+                        elif len(state) != width:
+                            raise ValueError(
+                                f"frame {index}: state width {len(state)} "
+                                f"differs from earlier width {width}"
+                            )
                         texts[state] = text
                 if det.confidence.__class__ is float and det.box is None:
                     cells.append('{"state":"%s","conf":%r}' % (text, det.confidence))
@@ -399,13 +404,11 @@ def write_stream(path, manifest: FileManifest, frames) -> None:
                 record: dict = {"state": text, "conf": det.confidence}
                 if det.box is not None:
                     box = list(det.box)
-                    if len(box) != 4 or not all(map(_finite_number, box)):
+                    if len(box) != 4 or not all(map(finite_number, box)):
                         raise ValueError(f"box must be four finite numbers, got {det.box!r}")
                     record["box"] = box
                 cells.append(json.dumps(record, separators=(",", ":")))
-            if frame.frame.__class__ is not int:
-                raise ValueError(f"frame must be an integer, got {frame.frame!r}")
-            handle.write('{"frame":%s,"detections":[%s]}\n' % (frame.frame, ",".join(cells)))
+            handle.write('{"frame":%s,"detections":[%s]}\n' % (index, ",".join(cells)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,8 +488,24 @@ def write_ground_truth(
     """Write a step sequence as state rows (inverse of read_ground_truth).
 
     Each row is one format string: StepEvent's int frame and finite conf
-    go through json.dumps, as they would in a row dict's json.dumps.
+    go through json.dumps, as they would in a row dict's json.dumps. An
+    event that read_ground_truth would read back as another raises
+    ValueError before the file is opened: a component outside the
+    procedure, or an action id other than the procedure's step_id.
     """
+    n = spec.n_components
+    for event in sequence.events:
+        if not 0 <= event.component < n:
+            raise ValueError(
+                f"event '{event.action_id}': component {event.component} is outside "
+                f"procedure '{spec.id}' of {n} components"
+            )
+        step_id = spec.step_id(event.component, event.transition)
+        if event.action_id != step_id:
+            raise ValueError(
+                f"event '{event.action_id}': procedure '{spec.id}' names component "
+                f"{event.component} {event.transition.value} '{step_id}'"
+            )
     state = _writable_base_state(sequence, spec.initial_state)
     manifest = FileManifest(
         kind="ground_truth",
@@ -828,7 +847,7 @@ _REPORT_CHECKS = (
     *((c, "a number in [0, 1]", lambda v: v.__class__ in (int, float) and 0 <= v <= 1)
       for c in ("pos", "precision", "recall", "f1")),
     ("tau_s", "null or a finite number >= 0",
-     lambda v: v is None or v.__class__ in (int, float) and 0 <= v < math.inf),
+     lambda v: v is None or finite_number(v) and v >= 0),
     *((c, "a non-negative integer", lambda v: v.__class__ is int and v >= 0)
       for c in ("tp", "fp", "fn")),
     ("has_errors", "true or false", lambda v: v.__class__ is bool),

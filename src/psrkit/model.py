@@ -10,7 +10,7 @@ states tells you which procedure steps were completed in between.
 from __future__ import annotations
 
 import enum
-import sys
+import math
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -33,6 +33,16 @@ class Transition(enum.Enum):
 class EventSource(enum.Enum):
     RECOGNIZED = "recognized"
     GROUND_TRUTH = "ground_truth"
+
+
+def finite_number(value) -> bool:
+    """psrkit's one number rule: a non-bool int or float, finite as a float."""
+    if value.__class__ is bool or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int past the float range
+        return False
 
 
 def status_for_value(value: int) -> ComponentStatus:
@@ -182,9 +192,8 @@ class StepEvent:
             raise ValueError(f"frame must be non-negative, got {frame}")
         if self.time_s < 0:
             raise ValueError(f"time_s must be non-negative, got {self.time_s}")
-        # within a float's range: a larger int is written as digits that read back as inf
-        number = confidence.__class__ is not bool and isinstance(confidence, (int, float))
-        if not number or not abs(confidence) <= sys.float_info.max:
+        # an int past the float range is written as digits that read back as inf
+        if not finite_number(confidence):
             raise ValueError(f"confidence must be a finite number, got {confidence!r}")
         if confidence < 0:
             raise ValueError(f"confidence must be >= 0, got {confidence}")
@@ -203,7 +212,7 @@ class StepSequence:
     events: tuple[StepEvent, ...] = ()
 
     def __post_init__(self):
-        if not 0 < self.fps <= sys.float_info.max:
+        if not finite_number(self.fps) or self.fps <= 0:
             raise ValueError(f"fps must be positive and finite, got {self.fps}")
         seen: set[str] = set()
         previous: StepEvent | None = None

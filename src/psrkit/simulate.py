@@ -25,6 +25,7 @@ from .model import (
     StepSequence,
     Transition,
     apply_transition,
+    finite_number,
     is_error_state,
 )
 
@@ -52,13 +53,17 @@ class SimConfig:
     error_fp_rate: float = 0.65
 
     def __post_init__(self):
+        # what random.Random draws the same from every run: None seeds from
+        # the OS, and a bytes seed would not go into the scenario document
+        if not isinstance(self.seed, (int, float, str)):
+            raise ValueError(f"seed must be an int, float or str, got {self.seed!r}")
         for field in fields(self):
             value = getattr(self, field.name)
             # a float seed counts too: random.Random hashes it, and a NaN
             # hashes by identity, so it would seed differently every run
             is_float = field.type == "float" or isinstance(value, float)
-            if is_float and not math.isfinite(value):
-                raise ValueError(f"{field.name} must be finite, got {value}")
+            if is_float and not finite_number(value):
+                raise ValueError(f"{field.name} must be finite, got {value!r}")
         if self.fps <= 0:
             raise ValueError("fps must be positive")
         if self.dwell_mean_s <= 0:

@@ -501,7 +501,10 @@ class TestSimulateCommand:
         assert "detect_prob" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "fields", ['{"dwell_mean_s": Infinity}', '{"fps": NaN}', '{"conf_mean": NaN}']
+        "fields",
+        ['{"dwell_mean_s": Infinity}', '{"fps": NaN}', '{"conf_mean": NaN}',
+         # ints past the float range once exited 2 (OverflowError from float())
+         *(f'{{"{name}": {"1" * 400}}}' for name in ("fps", "dwell_mean_s", "detect_prob"))],
     )
     def test_non_finite_config_is_rejected(self, tmp_path, capsys, fields):
         config = tmp_path / "cfg.json"
@@ -553,6 +556,22 @@ class TestSimulateCommand:
             in capsys.readouterr().err
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["null", "[1]", '{"a": 1}'])
+    def test_seed_random_cannot_reproduce_is_rejected(self, tmp_path, capsys, seed):
+        # a list or an object once exited 2; null drew an OS-random seed
+        config = tmp_path / "cfg.json"
+        config.write_text(f'{{"seed": {seed}}}', encoding="utf-8")
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--spec", CAR, "--config", str(config), "--out-dir", str(out)])
+        assert rc == 1
+        shown = repr(json.loads(seed))
+        assert (
+            f"{config}: invalid simulation config: seed must be an int, float or str, got {shown}"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("shape", ["base_plus_39_parts", "twenty_chains"])
     def test_forty_component_procedures(self, tmp_path, shape):

@@ -48,6 +48,7 @@ from psrkit.model import (
     StepEvent,
     StepSequence,
     Transition,
+    finite_number,
     parse_state_text,
 )
 from psrkit.simulate import ErrorInjection, SimConfig, simulate
@@ -103,21 +104,23 @@ class TestStreamRoundTrip:
         assert back == frames
 
 
-    @given(
-        rows=st.lists(
-            st.lists(
-                st.tuples(
-                    st.lists(st.sampled_from([-1, 0, 1]), min_size=1, max_size=5),
-                    st.one_of(
-                        st.floats(min_value=0.0, max_value=1.0),
-                        st.sampled_from([0.0, 1.0, 1]),
+    @given(  # one state width per stream, as read_stream requires
+        rows=st.integers(min_value=1, max_value=5).flatmap(
+            lambda width: st.lists(
+                st.lists(
+                    st.tuples(
+                        st.lists(st.sampled_from([-1, 0, 1]), min_size=width, max_size=width),
+                        st.one_of(
+                            st.floats(min_value=0.0, max_value=1.0),
+                            st.sampled_from([0.0, 1.0, 1]),
+                        ),
+                        st.none()
+                        | st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),
                     ),
-                    st.none()
-                    | st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 4),
+                    max_size=3,
                 ),
-                max_size=3,
-            ),
-            max_size=12,
+                max_size=12,
+            )
         )
     )
     @settings(max_examples=150, deadline=None)
@@ -136,15 +139,15 @@ class TestStreamRoundTrip:
         assert (directory / "new.jsonl").read_bytes() == (directory / "old.jsonl").read_bytes()
 
     @pytest.mark.parametrize(
-        "frame, message",
+        "frames, message",
         [
-            (DetectionFrame(True, 0.1), "frame must be an integer, got True"),
-            (DetectionFrame(2.0, 0.2), "frame must be an integer, got 2.0"),
-            (DetectionFrame(0, 0.0, (Detection(AssemblyState.from_values([0]), True),)),
+            ([DetectionFrame(True, 0.1)], "frame must be an integer, got True"),
+            ([DetectionFrame(2.0, 0.2)], "frame must be an integer, got 2.0"),
+            ([DetectionFrame(0, 0.0, (Detection(AssemblyState.from_values([0]), True),))],
              "confidence must be a number, got True"),
             *(
                 (
-                    DetectionFrame(0, 0.0, (Detection(AssemblyState.from_values([0]), 0.5, box),)),
+                    [DetectionFrame(0, 0.0, (Detection(AssemblyState.from_values([0]), 0.5, box),))],
                     f"box must be four finite numbers, got {box!r}",
                 )
                 for box in [
@@ -155,17 +158,31 @@ class TestStreamRoundTrip:
                     (10**400, 0, 0, 0),
                 ]
             ),
-            (DetectionFrame(0, 0.0, (Detection(AssemblyState((2, 0)), 0.5),)),
+            ([DetectionFrame(0, 0.0, (Detection(AssemblyState((2, 0)), 0.5),))],
              "component status must be -1, 0 or 1, got 2"),
-            (DetectionFrame(0, 0.0, (Detection(AssemblyState(()), 0.5),)),
+            ([DetectionFrame(0, 0.0, (Detection(AssemblyState(()), 0.5),))],
              "empty state string"),
+            ([DetectionFrame(5, 0.5), DetectionFrame(3, 0.3)],
+             "frame 3 out of order (previous was 5)"),
+            ([DetectionFrame(3, 0.3), DetectionFrame(3, 0.3)],
+             "frame 3 out of order (previous was 3)"),
+            ([DetectionFrame(10**400, math.inf)],
+             f"frame {10**400}: frame / fps is not a finite time (fps {FPS})"),
+            (
+                [
+                    DetectionFrame(0, 0.0, (Detection(AssemblyState.from_values([0, 0, 0]), 0.5),)),
+                    DetectionFrame(1, 0.1, (Detection(AssemblyState.from_values([0, 0]), 0.5),)),
+                ],
+                "frame 1: state width 2 differs from earlier width 3",
+            ),
         ],
         ids=["bool-frame", "float-frame", "bool-conf", "inf-box", "nan-box", "three-box",
-             "bool-box", "huge-int-box", "status-2", "empty-state"],
+             "bool-box", "huge-int-box", "status-2", "empty-state", "frame-order",
+             "repeated-frame", "huge-frame", "width-change"],
     )
-    def test_rows_read_stream_refuses_are_not_written(self, tmp_path, frame, message):
+    def test_rows_read_stream_refuses_are_not_written(self, tmp_path, frames, message):
         with pytest.raises(ValueError) as err:
-            write_stream(tmp_path / "s.jsonl", stream_manifest(), [frame])
+            write_stream(tmp_path / "s.jsonl", stream_manifest(), frames)
         assert str(err.value) == message
 
     @given(
@@ -184,13 +201,13 @@ class TestStreamRoundTrip:
     )
     @settings(max_examples=150, deadline=None)
     def test_step_writer_same_bytes_as_reference(self, tmp_path_factory, steps, source):
+        spec = linear_spec(6)
         events, frame = [], 0
         for component, (gap, transition, conf) in enumerate(steps):
             frame += gap
-            action_id = f"{transition.value}:{component}"
+            action_id = spec.step_id(component, transition)
             events.append(StepEvent(action_id, component, transition, frame / FPS, frame, conf))
         sequence = StepSequence("rec", FPS, tuple(events))
-        spec = linear_spec(6)
         directory = tmp_path_factory.mktemp("step-writers")
         write_ground_truth(directory / "new.jsonl", sequence, spec, source=source)
         reference_write_ground_truth(directory / "old.jsonl", sequence, spec, source=source)
@@ -239,6 +256,81 @@ class TestManifestRefusals:
         with pytest.raises(ValueError):
             write_ground_truth(path, StepSequence(recording_id, fps), linear_spec(1))
         assert not path.exists()
+
+
+# what a number field may be handed: ints of up to 400 digits, every float
+# (NaN and both infinities too), bools, strings and None
+NUMBER_LIKE = st.one_of(
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.sampled_from([2**1023, 2**1024, -(2**1024), 10**400, -(10**400), 0, -0.0]),
+    st.floats(),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+)
+
+
+def builds(make) -> bool:
+    """Whether make() returns rather than raising ValueError."""
+    try:
+        make()
+    except ValueError:
+        return False
+    return True
+
+
+class TestOneNumberRule:
+    """model.finite_number decides every number field; each site adds only its range."""
+
+    @given(value=NUMBER_LIKE)
+    @settings(max_examples=300, deadline=None)
+    def test_finite_number_is_a_non_bool_int_or_float_finite_as_a_float(self, value):
+        expected = type(value) in (int, float)
+        if expected:
+            try:
+                expected = math.isfinite(float(value))
+            except OverflowError:
+                expected = False
+        assert finite_number(value) is expected
+
+    @given(value=NUMBER_LIKE)
+    @settings(max_examples=300, deadline=None)
+    def test_every_site_decides_by_finite_number(
+        self, tmp_path_factory, written_reports, value
+    ):
+        finite = finite_number(value)
+        directory = tmp_path_factory.mktemp("numbers")
+        state = AssemblyState.from_values([0])
+        box_frame = DetectionFrame(0, 0.0, (Detection(state, 0.5, (value, 0, 0, 0)),))
+        sites = [  # (site, construction, whether it must succeed)
+            ("StepEvent.confidence", lambda: StepEvent("a0", 0, Transition.INSTALL, 0.0, 0, value),
+             finite and value >= 0),
+            ("StepSequence.fps", lambda: StepSequence("r", value), finite and value > 0),
+            ("SimConfig.fps", lambda: SimConfig(fps=value), finite and value > 0),
+            ("SimConfig.detect_prob", lambda: SimConfig(detect_prob=value),
+             finite and 0 <= value <= 1),
+            ("SimConfig.conf_mean", lambda: SimConfig(conf_mean=value), finite),
+            ("BaselineConfig.threshold", lambda: BaselineConfig(Variant.B2, threshold=value),
+             value is None or finite and value >= 0),
+            ("BaselineConfig.decay", lambda: BaselineConfig(Variant.B2, decay=value),
+             value is None or finite and 0 < value <= 1),
+            ("FileManifest.fps", lambda: stream_manifest(fps=value), finite and value > 0),
+            ("write_stream box", lambda: write_stream(directory / "s.jsonl", stream_manifest(),
+                                                      [box_frame]), finite),
+        ]
+        for site, make, accepted in sites:
+            assert builds(make) is accepted, site
+        try:
+            number = formats._as_number(value, "'x'", None, None)
+        except FormatError:
+            assert not finite
+        else:
+            assert finite and number == float(value) and number.__class__ is float
+        document = json.loads(written_reports["eval-ok"].read_text())
+        document["recordings"][0]["tau_s"] = value
+        path = directory / "r.json"
+        path.write_text(json.dumps(document), encoding="utf-8")
+        assert (validate_file(path) == []) is (value is None or finite and value >= 0)
 
 
 class TestStreamErrors:
@@ -648,6 +740,29 @@ class TestGroundTruthFiles:
         _, full = read_ground_truth(path, spec)
         assert full.action_ids() == ("a0", "incorrect:a1")
         assert full.correct_only().action_ids() == ("a0",)
+
+    @pytest.mark.parametrize(
+        "action_id, component, message",
+        [
+            ("c-1:install", -1, "event 'c-1:install': component -1 is outside procedure "
+                                "'chain' of 3 components"),
+            ("c5:install", 5, "event 'c5:install': component 5 is outside procedure "
+                              "'chain' of 3 components"),
+            ("whatever", 0, "event 'whatever': procedure 'chain' names component 0 "
+                            "install 'a0'"),
+        ],
+        ids=["negative-component", "component-past-the-last", "other-action-id"],
+    )
+    def test_events_that_read_back_as_others_are_not_written(
+        self, tmp_path, action_id, component, message
+    ):
+        # once written as a2, an IndexError and a0 respectively
+        event = StepEvent(action_id, component, Transition.INSTALL, 0.1, 1)
+        path = tmp_path / "gt.jsonl"
+        with pytest.raises(ValueError) as err:
+            write_ground_truth(path, StepSequence("rec", FPS, (event,)), linear_spec(3))
+        assert str(err.value) == message
+        assert not path.exists()
 
     def test_round_trip_of_simulated_ground_truth(self, tmp_path, car_spec):
         scenario = simulate(

@@ -28,6 +28,7 @@ from psrkit.model import (
 )
 from psrkit.simulate import (
     MAX_FRAME,
+    NO_INJECTION,
     ErrorInjection,
     Scenario,
     SimConfig,
@@ -92,6 +93,18 @@ class TestSimConfig:
         with pytest.raises(ValueError) as err:
             SimConfig(**{name: -0.5})
         assert str(err.value) == f"{name} must be >= 0"
+
+    @pytest.mark.parametrize("seed", [None, [1], {"a": 1}, b"seed"])
+    def test_seed_random_cannot_reproduce_is_rejected(self, seed):
+        with pytest.raises(ValueError) as err:
+            SimConfig(seed=seed)
+        assert str(err.value) == f"seed must be an int, float or str, got {seed!r}"
+
+    @pytest.mark.parametrize("seed", [7, 10**400, 2.5, "seven"])
+    def test_accepted_seed_draws_as_random_does(self, car_spec, seed):
+        ground_truth = simulate(car_spec, cfg=SimConfig(seed=seed)).ground_truth
+        expected = sample_execution(car_spec, NO_INJECTION, SimConfig(), random.Random(seed))[0]
+        assert ground_truth.events == expected.events
 
     def test_noiseless_profile(self):
         cfg = SimConfig.noiseless(seed=3)
