@@ -17,6 +17,7 @@ from pathlib import Path
 from .baselines import BaselineConfig, Variant, run_baseline
 from .formats import (
     BUILTIN_PROCEDURES,
+    EventSource,
     FormatError,
     _read_json_document,
     iter_stream_file,
@@ -30,7 +31,7 @@ from .formats import (
     write_scenario,
 )
 from .metrics import evaluate_recording
-from .model import EventSource, ProcedureSpec
+from .model import ProcedureSpec
 from .simulate import ErrorInjection, Scenario, SimConfig, iter_stream, sample_execution
 
 EXIT_OK = 0
@@ -95,7 +96,7 @@ def cmd_eval(args) -> int:
 def _build_sim_config(args) -> SimConfig:
     cfg = SimConfig.noiseless() if args.noiseless else SimConfig()
     if args.config:
-        fields = _read_json_document(args.config, None)
+        fields = _read_json_document(args.config)
         try:
             cfg = dataclasses.replace(cfg, **fields)
         except (TypeError, ValueError) as exc:

@@ -8,11 +8,14 @@ column set. States inside files always use the comma-separated form.
 
 Readers never raise anything but FormatError on bad input; the error
 carries the file path and, for line-oriented formats, the line number.
+The checks below raise a plain ValueError, and only the row loop and the
+document readers turn it into a FormatError at its file and line.
 """
 
 from __future__ import annotations
 
 import csv
+import enum
 import json
 import math
 import re
@@ -26,7 +29,6 @@ from .metrics import MetricsReport, Subset, aggregate_reports
 from .model import (
     AssemblyState,
     ComponentStatus,
-    EventSource,
     ProceduralAction,
     ProcedureSpec,
     StepEvent,
@@ -67,6 +69,13 @@ class FormatError(Exception):
         return location + self.message
 
 
+class EventSource(enum.Enum):
+    """Which kind of step file a manifest heads."""
+
+    RECOGNIZED = "recognized"
+    GROUND_TRUTH = "ground_truth"
+
+
 @dataclass(frozen=True)
 class FileManifest:
     """First-line header of the line-oriented files."""
@@ -77,7 +86,7 @@ class FileManifest:
     format_version: str = FORMAT_VERSION
     source: EventSource | None = None
 
-    def __post_init__(self):  # refuse what _parse_manifest refuses
+    def __post_init__(self):  # the manifest reader's rules too
         if self.kind not in KINDS:
             raise ValueError(f"unknown file kind '{self.kind}'")
         if not isinstance(self.recording_id, str):
@@ -97,64 +106,49 @@ class FileManifest:
         return json.dumps(obj, separators=(",", ":"))
 
 
-def _check_version(version, path, line) -> None:
+def _check_version(version) -> None:
     if not isinstance(version, str):
-        raise FormatError("format_version must be a string", path, line)
+        raise ValueError("format_version must be a string")
     parts = version.split(".")
     if len(parts) != 3 or not all(p.isdigit() for p in parts):
-        raise FormatError(f"malformed format_version '{version}'", path, line)
+        raise ValueError(f"malformed format_version '{version}'")
     if int(parts[0]) != SUPPORTED_MAJOR:
-        raise FormatError(
-            f"unsupported major format version {parts[0]} (supported: {SUPPORTED_MAJOR})",
-            path,
-            line,
+        raise ValueError(
+            f"unsupported major format version {parts[0]} (supported: {SUPPORTED_MAJOR})"
         )
 
 
-def _as_number(value, what, path, line) -> float:
+def _as_number(value, what) -> float:
     if finite_number(value):
         return float(value)
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"{what} must be a number", path, line)
-    raise FormatError(f"{what} must be finite, got {value}", path, line)
+        raise ValueError(f"{what} must be a number")
+    raise ValueError(f"{what} must be finite, got {value}")
 
 
-def _as_int(value, what, path, line) -> int:
+def _as_int(value, what) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
-        raise FormatError(f"{what} must be an integer", path, line)
+        raise ValueError(f"{what} must be an integer")
     return value
 
 
-def _parse_manifest(obj, expected_kind: str | None, path, line) -> FileManifest:
+def _parse_manifest(obj, kinds: tuple[str, ...]) -> FileManifest:
+    """The manifest line's FileManifest, whose kind must be one of kinds."""
     if not isinstance(obj, dict):
-        raise FormatError("manifest line must be a JSON object", path, line)
+        raise ValueError("manifest line must be a JSON object")
     for key in ("format_version", "kind", "recording_id", "fps"):
         if key not in obj:
-            raise FormatError(f"manifest is missing '{key}'", path, line)
-    _check_version(obj["format_version"], path, line)
-    kind = obj["kind"]
-    if kind not in KINDS:
-        raise FormatError(f"unknown file kind '{kind}'", path, line)
-    if expected_kind is not None and kind != expected_kind:
-        raise FormatError(f"expected a {expected_kind} file, found '{kind}'", path, line)
-    if not isinstance(obj["recording_id"], str):
-        raise FormatError("recording_id must be a string", path, line)
-    fps = _as_number(obj["fps"], "fps", path, line)
-    if fps <= 0:
-        raise FormatError(f"fps must be positive and finite, got {fps}", path, line)
-    source = None
-    if "source" in obj:
-        try:
-            source = EventSource(obj["source"])
-        except ValueError:
-            raise FormatError(f"unknown source '{obj['source']}'", path, line) from None
-    return FileManifest(
-        kind=kind,
-        recording_id=obj["recording_id"],
-        fps=fps,
-        format_version=obj["format_version"],
-        source=source,
-    )
+            raise ValueError(f"manifest is missing '{key}'")
+    _check_version(obj["format_version"])
+    try:
+        source = EventSource(obj["source"]) if "source" in obj else None
+    except ValueError:
+        raise ValueError(f"unknown source '{obj['source']}'") from None
+    fps = _as_number(obj["fps"], "fps")  # FileManifest checks kind, recording_id and fps > 0
+    manifest = FileManifest(obj["kind"], obj["recording_id"], fps, obj["format_version"], source)
+    if manifest.kind not in kinds:
+        raise ValueError(f"expected a {' or '.join(kinds)} file, found '{manifest.kind}'")
+    return manifest
 
 
 # write_stream's and write_ground_truth's two row shapes each: int() and float()
@@ -172,7 +166,7 @@ _ROW_MATCHERS = {"stream": _STREAM_ROW.fullmatch, "ground_truth": _STEP_ROW.full
 
 
 def _read_rows(path, kind, spec: ProcedureSpec | None = None):
-    """A stream or step file's checked manifest and lazily read records; kind None: any."""
+    """A stream or step file's checked manifest and lazily read records; kind None: either."""
     records = _state_rows(path, kind, spec)
     return next(records), records
 
@@ -190,10 +184,12 @@ def _state_rows(path, kind, spec: ProcedureSpec | None):
     first invalid one is named. Both kinds of row then share the frame
     checks: 'frame' must be a non-negative integer, strictly increasing
     in a stream and non-decreasing in a step file, with a finite ``frame /
-    fps``. ``state_of(text, line)`` parses and width-checks each distinct
-    state text once per file, whether it comes as str or as a matched
-    row's bytes: against the procedure's width when one is given,
-    otherwise the first state's.
+    fps``. A step row becomes (line, frame, time_s, state, confidence).
+    ``state_of(text)`` parses and width-checks each distinct state text
+    once per file, whether it comes as str or as a matched row's bytes:
+    against the procedure's width when one is given, otherwise the first
+    state's. Every check of a line raises ValueError, and the loop turns
+    it into a FormatError at the file and line.
     """
     # str keys from decoded rows, bytes keys from matched ones; a bytes key
     # goes in first, as the str of the same text hashes alike and would
@@ -201,30 +197,24 @@ def _state_rows(path, kind, spec: ProcedureSpec | None):
     states: dict[str | bytes, AssemblyState] = {}
     width = spec.n_components if spec is not None else None
 
-    def state_of(text, line) -> AssemblyState:
+    def state_of(text) -> AssemblyState:
         nonlocal width
         key = text
         if text.__class__ is bytes:  # ASCII, by the row patterns
             text = text.decode("ascii")
         elif not isinstance(text, str):
-            raise FormatError("'state' must be a string", path, line)
+            raise ValueError("'state' must be a string")
         state = states.get(text)
         if state is None:
-            try:
-                state = parse_state_text(text)
-            except ValueError as exc:
-                raise FormatError(str(exc), path, line) from None
+            state = parse_state_text(text)
             if width is None:
                 width = len(state)
+            elif len(state) != width and spec is not None:
+                raise ValueError(
+                    f"state has {len(state)} components, procedure '{spec.id}' expects {width}"
+                )
             elif len(state) != width:
-                if spec is not None:
-                    message = (
-                        f"state has {len(state)} components, procedure "
-                        f"'{spec.id}' expects {width}"
-                    )
-                else:
-                    message = f"state width {len(state)} differs from earlier width {width}"
-                raise FormatError(message, path, line)
+                raise ValueError(f"state width {len(state)} differs from earlier width {width}")
         states[key] = states[text] = state
         return state
 
@@ -237,68 +227,70 @@ def _state_rows(path, kind, spec: ProcedureSpec | None):
     manifest = fast = None  # the manifest line always takes the full parse
     with handle:
         for line, raw in enumerate(handle, start=1):
-            match = fast and fast(raw)
-            if match:  # at most 18 frame digits, so never negative
-                frame, text, conf = match.groups()
-                frame = int(frame)
-            else:
-                try:
-                    raw = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise FormatError(
-                        f"file is not valid UTF-8: {exc.reason}", path, line
-                    ) from None
-                if not raw.strip():
-                    continue
-                try:
-                    obj = json.loads(raw)
-                except (ValueError, RecursionError) as exc:
-                    # too deep a nesting or too long an integer has no .msg
-                    message = getattr(exc, "msg", exc)
-                    raise FormatError(f"invalid JSON: {message}", path, line) from None
-                if manifest is None:
-                    manifest = _parse_manifest(obj, kind, path, line)
-                    stream, fps = manifest.kind == "stream", manifest.fps
-                    noun = "frame" if stream else "state"
-                    fast = _ROW_MATCHERS.get(manifest.kind)
-                    yield manifest
-                    continue
-                if not isinstance(obj, dict):
-                    raise FormatError(f"{noun} record must be a JSON object", path, line)
-                frame = _as_int(obj.get("frame"), "'frame'", path, line)
-                if frame < 0:
-                    raise FormatError(f"frame index must be non-negative, got {frame}", path, line)
-            if frame <= last_frame and (stream or frame < last_frame):
-                raise FormatError(
-                    f"frame {frame} out of order (previous was {last_frame})", path, line
-                )
-            last_frame = frame
             try:
-                time_s = frame / fps
-            except OverflowError:  # a frame index past the float range
-                time_s = inf
-            if time_s == inf:  # frame and fps are finite and non-negative, so never NaN
-                raise FormatError(f"frame / fps is not a finite time (fps {fps})", path, line)
-            if not stream:
-                if match:
-                    conf = 1.0 if conf is None else float(conf)
+                match = fast and fast(raw)
+                if match:  # at most 18 frame digits, so never negative
+                    frame, text, conf = match.groups()
+                    frame = int(frame)
                 else:
-                    text, conf = obj.get("state"), obj.get("conf", 1.0)
-                yield _step_record(path, line, frame, time_s, text, conf, state_of)
-            elif not match:
-                yield _frame_record(path, line, frame, time_s, obj, state_of)
-            elif text is None:
-                yield DetectionFrame(frame, time_s, ())
-            else:
-                state = states.get(text)
-                if state is None:
-                    state = state_of(text, line)
+                    raw = raw.decode("utf-8")
+                    if not raw.strip():
+                        continue
+                    try:
+                        obj = json.loads(raw)
+                    except (ValueError, RecursionError) as exc:
+                        # too deep a nesting or too long an integer has no .msg
+                        raise ValueError(f"invalid JSON: {getattr(exc, 'msg', exc)}") from None
+                    if manifest is None:
+                        manifest = _parse_manifest(obj, (kind,) if kind else tuple(_ROW_MATCHERS))
+                        stream, fps = manifest.kind == "stream", manifest.fps
+                        noun = "frame" if stream else "state"
+                        fast = _ROW_MATCHERS[manifest.kind]
+                        yield manifest
+                        continue
+                    if not isinstance(obj, dict):
+                        raise ValueError(f"{noun} record must be a JSON object")
+                    frame = _as_int(obj.get("frame"), "'frame'")
+                    if frame < 0:
+                        raise ValueError(f"frame index must be non-negative, got {frame}")
+                if frame <= last_frame and (stream or frame < last_frame):
+                    raise ValueError(f"frame {frame} out of order (previous was {last_frame})")
+                last_frame = frame
                 try:
-                    detection = Detection(state, float(conf))
-                except ValueError as exc:
-                    _as_number(float(conf), "'conf'", path, line)  # names NaN and inf
-                    raise FormatError(str(exc), path, line) from None
-                yield DetectionFrame(frame, time_s, (detection,))
+                    time_s = frame / fps
+                except OverflowError:  # a frame index past the float range
+                    time_s = inf
+                if time_s == inf:  # frame and fps are finite and non-negative, so never NaN
+                    raise ValueError(f"frame / fps is not a finite time (fps {fps})")
+                if not stream:
+                    if match:
+                        conf = 1.0 if conf is None else float(conf)
+                    else:
+                        text, conf = obj.get("state"), obj.get("conf", 1.0)
+                    state = state_of(text)
+                    if conf.__class__ is not float or not 0.0 <= conf < inf:
+                        conf = _as_number(conf, "'conf'")  # names NaN and inf
+                        if conf < 0:
+                            raise ValueError(f"'conf' must be >= 0, got {conf}")
+                    yield line, frame, time_s, state, conf
+                elif not match:
+                    yield _frame_record(frame, time_s, obj, state_of)
+                elif text is None:
+                    yield DetectionFrame(frame, time_s, ())
+                else:
+                    state = states.get(text)
+                    if state is None:
+                        state = state_of(text)
+                    try:
+                        detection = Detection(state, float(conf))
+                    except ValueError:
+                        _as_number(float(conf), "'conf'")  # names NaN and inf first
+                        raise
+                    yield DetectionFrame(frame, time_s, (detection,))
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"file is not valid UTF-8: {exc.reason}", path, line) from None
+            except ValueError as exc:
+                raise FormatError(str(exc), path, line) from None
         if manifest is None:
             raise FormatError("file is empty, expected a manifest line", path, 1)
 
@@ -321,26 +313,23 @@ def iter_stream_file(
     return _read_rows(path, "stream", spec)
 
 
-def _frame_record(path, line, frame, time_s, obj, state_of) -> DetectionFrame:
-    """The DetectionFrame of one stream row whose frame index is checked."""
+def _frame_record(frame, time_s, obj, state_of) -> DetectionFrame:
+    """The DetectionFrame of one decoded stream row whose frame index is checked."""
     raw_detections = obj.get("detections", ())  # JSON has no tuples: () means absent
     if raw_detections.__class__ is not list and raw_detections != ():
-        raise FormatError("'detections' must be a list", path, line)
+        raise ValueError("'detections' must be a list")
     detections = []
     for raw in raw_detections:
         if not isinstance(raw, dict):
-            raise FormatError("detection must be a JSON object", path, line)
-        state = state_of(raw.get("state"), line)
-        confidence = _as_number(raw.get("conf"), "'conf'", path, line)
+            raise ValueError("detection must be a JSON object")
+        state = state_of(raw.get("state"))
+        confidence = _as_number(raw.get("conf"), "'conf'")
         box = raw.get("box")
         if box is not None:
             if not isinstance(box, list) or len(box) != 4:
-                raise FormatError("'box' must be a list of four numbers", path, line)
-            box = tuple(_as_number(v, "'box' entry", path, line) for v in box)
-        try:
-            detections.append(Detection(state, confidence, box))
-        except ValueError as exc:
-            raise FormatError(str(exc), path, line) from None
+                raise ValueError("'box' must be a list of four numbers")
+            box = tuple(_as_number(v, "'box' entry") for v in box)
+        detections.append(Detection(state, confidence, box))
     return DetectionFrame(frame, time_s, tuple(detections))
 
 
@@ -415,16 +404,6 @@ def write_stream(path, manifest: FileManifest, frames) -> None:
 # step sequences (ground truth and predictions share the format)
 
 
-def _step_record(path, line, frame, time_s, text, conf, state_of):
-    """(line, frame, time_s, state, confidence) for one row of a step file."""
-    state = state_of(text, line)
-    if conf.__class__ is not float or not 0.0 <= conf < math.inf:
-        conf = _as_number(conf, "'conf'", path, line)  # names NaN and inf
-        if conf < 0:
-            raise FormatError(f"'conf' must be >= 0, got {conf}", path, line)
-    return line, frame, time_s, state, conf
-
-
 def read_ground_truth(path, spec: ProcedureSpec) -> tuple[FileManifest, StepSequence]:
     """Read a step-sequence file as (new state)@(frame) records.
 
@@ -432,6 +411,11 @@ def read_ground_truth(path, spec: ProcedureSpec) -> tuple[FileManifest, StepSequ
     included; ``.correct_only()`` of the sequence drops those.
     """
     manifest, records = _read_rows(path, "ground_truth", spec)
+    return manifest, _step_sequence(path, manifest, records, spec)
+
+
+def _step_sequence(path, manifest: FileManifest, records, spec: ProcedureSpec) -> StepSequence:
+    """The step sequence diffed from a step file's records."""
     previous: AssemblyState | None = None
     events: list[StepEvent] = []
     seen: set[str] = set()
@@ -457,7 +441,7 @@ def read_ground_truth(path, spec: ProcedureSpec) -> tuple[FileManifest, StepSequ
         previous = state
     if previous is None:
         raise FormatError("step file has no state rows", path, 1)
-    return manifest, StepSequence.from_events(manifest.recording_id, manifest.fps, events)
+    return StepSequence.from_events(manifest.recording_id, manifest.fps, events)
 
 
 def _writable_base_state(
@@ -526,7 +510,7 @@ def write_ground_truth(
 # procedures
 
 
-def _read_json_document(path, expected_kind: str | None) -> dict:
+def _read_json_document(path) -> dict:
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read()
@@ -543,12 +527,22 @@ def _read_json_document(path, expected_kind: str | None) -> dict:
         raise FormatError(f"invalid JSON: {exc}", path, 1) from None
     if not isinstance(document, dict):
         raise FormatError("document root must be a JSON object", path)
-    if expected_kind is not None:
-        _check_version(document.get("format_version"), path, None)
-        kind = document.get("kind")
-        if kind != expected_kind:
-            raise FormatError(f"expected a {expected_kind} document, found '{kind}'", path)
     return document
+
+
+def _read_document(path, kinds: tuple[str, ...]):
+    """Check the document at path, of one of kinds; what its kind's check returns."""
+    document = _read_json_document(path)
+    kind = document.get("kind")
+    try:
+        _check_version(document.get("format_version"))
+        if kind not in KINDS:
+            raise ValueError(f"unknown file kind '{kind}'")
+        if kind not in kinds:
+            raise ValueError(f"expected a {' or '.join(kinds)} document, found '{kind}'")
+        return _DOCUMENT_CHECKS[kind](document)
+    except ValueError as exc:
+        raise FormatError(str(exc), path) from None
 
 
 def _write_json_document(path, document: dict) -> None:
@@ -557,70 +551,63 @@ def _write_json_document(path, document: dict) -> None:
         handle.write("\n")
 
 
-def _procedure_from_document(document: dict, path) -> ProcedureSpec:
+def _procedure_from_document(document: dict) -> ProcedureSpec:
     if not isinstance(document.get("id"), str):
-        raise FormatError("procedure 'id' must be a string", path)
+        raise ValueError("procedure 'id' must be a string")
     raw_components = document.get("components")
     if not isinstance(raw_components, list) or not raw_components:
-        raise FormatError("'components' must be a non-empty list", path)
+        raise ValueError("'components' must be a non-empty list")
     names: list[str] = []
     for position, raw in enumerate(raw_components):
         if not isinstance(raw, dict) or not isinstance(raw.get("name"), str):
-            raise FormatError(f"component {position} must have a string 'name'", path)
-        index = _as_int(raw.get("index"), "component 'index'", path, None)
+            raise ValueError(f"component {position} must have a string 'name'")
+        index = _as_int(raw.get("index"), "component 'index'")
         if index != position:
-            raise FormatError(
-                f"component index {index} does not match its position {position}", path
-            )
+            raise ValueError(f"component index {index} does not match its position {position}")
         names.append(raw["name"])
     raw_initial = document.get("initial_state", "")
     if not isinstance(raw_initial, str):
-        raise FormatError("'initial_state' must be a state string", path)
+        raise ValueError("'initial_state' must be a state string")
     try:
         initial = parse_state_text(raw_initial)
     except ValueError as exc:
-        raise FormatError(f"initial_state: {exc}", path) from None
+        raise ValueError(f"initial_state: {exc}") from None
     raw_actions = document.get("actions")
     if not isinstance(raw_actions, list):
-        raise FormatError("'actions' must be a list", path)
+        raise ValueError("'actions' must be a list")
     actions: list[ProceduralAction] = []
     for raw in raw_actions:
         if not isinstance(raw, dict) or not isinstance(raw.get("id"), str):
-            raise FormatError("every action must have a string 'id'", path)
+            raise ValueError("every action must have a string 'id'")
         try:
             transition = Transition(raw.get("transition"))
         except ValueError:
-            raise FormatError(
-                f"action '{raw['id']}' has unknown transition '{raw.get('transition')}'",
-                path,
+            raise ValueError(
+                f"action '{raw['id']}' has unknown transition '{raw.get('transition')}'"
             ) from None
         requires = raw.get("requires", [])
         if not isinstance(requires, list) or not all(isinstance(r, str) for r in requires):
-            raise FormatError(f"action '{raw['id']}': 'requires' must be a list of ids", path)
+            raise ValueError(f"action '{raw['id']}': 'requires' must be a list of ids")
         actions.append(
             ProceduralAction(
                 action_id=raw["id"],
-                component=_as_int(raw.get("component"), "action 'component'", path, None),
+                component=_as_int(raw.get("component"), "action 'component'"),
                 transition=transition,
                 prerequisites=frozenset(requires),
                 description=str(raw.get("description", "")),
             )
         )
-    try:
-        return ProcedureSpec(
-            id=document["id"],
-            components=tuple(names),
-            actions=tuple(actions),
-            initial_state=initial,
-        )
-    except ValueError as exc:  # the procedure's own diagnostics
-        raise FormatError(str(exc), path) from None
+    return ProcedureSpec(  # which checks the procedure as a whole
+        id=document["id"],
+        components=tuple(names),
+        actions=tuple(actions),
+        initial_state=initial,
+    )
 
 
 def read_procedure(path) -> ProcedureSpec:
     """Read and validate a procedure document."""
-    document = _read_json_document(path, "procedure")
-    return _procedure_from_document(document, path)
+    return _read_document(path, ("procedure",))
 
 
 def write_procedure(path, spec: ProcedureSpec) -> None:
@@ -765,22 +752,8 @@ def write_scenario(
 # generic validation entry point (used by the CLI)
 
 
-def sniff_kind(path) -> str:
-    """Best-effort file kind: manifest line for JSONL, document key otherwise."""
-    suffix = Path(path).suffix
-    if suffix == ".jsonl":
-        manifest, records = _read_rows(path, None)
-        records.close()
-        return manifest.kind
-    document = _read_json_document(path, None)
-    kind = document.get("kind")
-    if kind not in KINDS:
-        raise FormatError(f"unknown file kind '{kind}'", path)
-    return kind
-
-
 def validate_file(path, spec: ProcedureSpec | None = None) -> list[str]:
-    """All diagnostics for one file; empty means valid.
+    """All diagnostics for one file, read once; empty means valid.
 
     Step-sequence files are fully validated when a procedure is given
     and structurally (frames, states, confidences) otherwise. The state
@@ -788,58 +761,59 @@ def validate_file(path, spec: ProcedureSpec | None = None) -> list[str]:
     given, otherwise their first state's.
     """
     try:
-        kind = sniff_kind(path)
-        if kind == "ground_truth" and spec is not None:
-            read_ground_truth(path, spec)
-        elif kind in ("stream", "ground_truth"):
-            for _ in _read_rows(path, kind, spec)[1]:
-                pass
-        elif kind == "procedure":
-            read_procedure(path)
-        elif kind == "scenario":
-            document = _read_json_document(path, "scenario")
-            _validate_scenario_document(document, path)
-        elif kind == "report":
-            document = _read_json_document(path, "report")
-            _validate_report_document(document, path)
+        if Path(path).suffix == ".jsonl":
+            manifest, records = _read_rows(path, None, spec)
+            if manifest.kind == "ground_truth" and spec is not None:
+                _step_sequence(path, manifest, records, spec)
+            else:
+                for _ in records:
+                    pass
+        else:
+            _read_document(path, tuple(_DOCUMENT_CHECKS))
     except FormatError as exc:
         return [str(exc)]
     return []
 
 
-def _validate_scenario_document(document: dict, path) -> None:
+def _validate_scenario_document(document: dict) -> None:
     for key in ("recording_id", "procedure", "fps", "seed", "stream_file", "ground_truth_file"):
         if key not in document:
-            raise FormatError(f"scenario document is missing '{key}'", path)
+            raise ValueError(f"scenario document is missing '{key}'")
     config = document.get("config")
     if not isinstance(config, dict):
-        raise FormatError("scenario 'config' must be an object", path)
+        raise ValueError("scenario 'config' must be an object")
     try:
         SimConfig(**config)
     except (TypeError, ValueError) as exc:
-        raise FormatError(f"invalid simulation config: {exc}", path) from None
+        raise ValueError(f"invalid simulation config: {exc}") from None
 
 
-def _validate_report_document(document: dict, path) -> None:
+def _validate_report_document(document: dict) -> None:
     recordings = document.get("recordings")
     if not isinstance(recordings, list):
-        raise FormatError("report 'recordings' must be a list", path)
+        raise ValueError("report 'recordings' must be a list")
     aggregates = document.get("aggregates")
     if not isinstance(aggregates, dict):
-        raise FormatError("report 'aggregates' must be an object", path)
+        raise ValueError("report 'aggregates' must be an object")
     rows = [(f"recordings[{i}]", row) for i, row in enumerate(recordings)]
     rows.append(("aggregates.all", aggregates.get("all")))
     if aggregates.get("errors_only") is not None:
         rows.append(("aggregates.errors_only", aggregates["errors_only"]))
     for where, row in rows:
         if not isinstance(row, dict):
-            raise FormatError("report rows must be objects", path)
+            raise ValueError("report rows must be objects")
         for column, what, ok in _REPORT_CHECKS:
             if column not in row:
-                raise FormatError(f"report row is missing '{column}'", path)
+                raise ValueError(f"report row is missing '{column}'")
             if not ok(row[column]):
-                raise FormatError(f"{where}.{column} must be {what}, got {row[column]!r}", path)
+                raise ValueError(f"{where}.{column} must be {what}, got {row[column]!r}")
 
+
+_DOCUMENT_CHECKS = {
+    "procedure": _procedure_from_document,
+    "scenario": _validate_scenario_document,
+    "report": _validate_report_document,
+}
 
 # (column, what it must be, test) per REPORT_COLUMNS; NaN fails every comparison
 _REPORT_CHECKS = (

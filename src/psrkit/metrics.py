@@ -18,6 +18,7 @@ ignores order, and the delay ignores wrong predictions entirely.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -163,12 +164,20 @@ def f1_score(outcome: MatchOutcome) -> float:
     return 2 * tp / denominator
 
 
+def _mean(values: Sequence[float]) -> float:
+    """sum(values) / len(values), and finite where finite values sum past the float range."""
+    total = sum(values)
+    if math.isinf(total):
+        top = max(map(abs, values))
+        if top < math.inf:
+            return top * (sum(v / top for v in values) / len(values))
+    return total / len(values)
+
+
 def average_delay(outcome: MatchOutcome) -> float | None:
     """Mean delay over true positives, or None when there is none."""
     delays = outcome.delays()
-    if not delays:
-        return None
-    return sum(delays) / len(delays)
+    return _mean(delays) if delays else None
 
 
 @dataclass(frozen=True)
@@ -254,18 +263,14 @@ def aggregate_reports(reports: Sequence[MetricsReport], subset: Subset) -> Metri
         selected = list(reports)
     if not selected:
         raise ValueError(f"no recordings in subset {subset.value}")
-
-    def mean(values: list[float]) -> float:
-        return sum(values) / len(values)
-
     taus = [r.tau_s for r in selected if r.tau_s is not None]
     return MetricsReport(
         recording_id=subset.value,
-        pos=mean([r.pos for r in selected]),
-        precision=mean([r.precision for r in selected]),
-        recall=mean([r.recall for r in selected]),
-        f1=mean([r.f1 for r in selected]),
-        tau_s=mean(taus) if taus else None,
+        pos=_mean([r.pos for r in selected]),
+        precision=_mean([r.precision for r in selected]),
+        recall=_mean([r.recall for r in selected]),
+        f1=_mean([r.f1 for r in selected]),
+        tau_s=_mean(taus) if taus else None,
         tp=sum(r.tp for r in selected),
         fp=sum(r.fp for r in selected),
         fn=sum(r.fn for r in selected),

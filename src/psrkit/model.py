@@ -30,11 +30,6 @@ class Transition(enum.Enum):
     INCORRECT = "incorrect"
 
 
-class EventSource(enum.Enum):
-    RECOGNIZED = "recognized"
-    GROUND_TRUTH = "ground_truth"
-
-
 def finite_number(value) -> bool:
     """psrkit's one number rule: a non-bool int or float, finite as a float."""
     if value.__class__ is bool or not isinstance(value, (int, float)):

@@ -54,8 +54,9 @@ class SimConfig:
 
     def __post_init__(self):
         # what random.Random draws the same from every run: None seeds from
-        # the OS, and a bytes seed would not go into the scenario document
-        if not isinstance(self.seed, (int, float, str)):
+        # the OS, a bytes seed would not go into the scenario document, and
+        # a bool draws as 0 or 1 under another recording id
+        if self.seed.__class__ is bool or not isinstance(self.seed, (int, float, str)):
             raise ValueError(f"seed must be an int, float or str, got {self.seed!r}")
         for field in fields(self):
             value = getattr(self, field.name)

@@ -9,6 +9,7 @@ from itertools import permutations
 
 from psrkit.baselines import BaselineConfig, Variant
 from psrkit.formats import (
+    EventSource,
     FileManifest,
     FormatError,
     _as_int,
@@ -18,7 +19,6 @@ from psrkit.formats import (
 )
 from psrkit.model import (
     AssemblyState,
-    EventSource,
     ProceduralAction,
     ProcedureSpec,
     StepEvent,
@@ -32,6 +32,14 @@ from psrkit.model import (
     status_for_value,
     transition_to,
 )
+
+
+def located(path, line, check, *args):
+    """check(*args), a ValueError it raises raised as a FormatError at path:line."""
+    try:
+        return check(*args)
+    except ValueError as exc:
+        raise FormatError(str(exc), path, line) from None
 
 
 def linear_spec(k: int, spec_id: str = "chain") -> ProcedureSpec:
@@ -270,11 +278,11 @@ def reference_read_stream(path, spec: ProcedureSpec | None = None):
             except json.JSONDecodeError as exc:
                 raise FormatError(f"invalid JSON: {exc.msg}", path, line) from None
             if manifest is None:
-                manifest = _parse_manifest(obj, "stream", path, line)
+                manifest = located(path, line, _parse_manifest, obj, ("stream",))
                 continue
             if not isinstance(obj, dict):
                 raise FormatError("frame record must be a JSON object", path, line)
-            frame = _as_int(obj.get("frame"), "'frame'", path, line)
+            frame = located(path, line, _as_int, obj.get("frame"), "'frame'")
             if frame < 0:
                 raise FormatError(
                     f"frame index must be non-negative, got {frame}", path, line
@@ -321,13 +329,15 @@ def reference_read_stream(path, spec: ProcedureSpec | None = None):
                             )
                         raise FormatError(message, path, line)
                     states[state_text] = state
-                confidence = _as_number(det.get("conf"), "'conf'", path, line)
+                confidence = located(path, line, _as_number, det.get("conf"), "'conf'")
                 box = None
                 if det.get("box") is not None:
                     raw_box = det["box"]
                     if not isinstance(raw_box, list) or len(raw_box) != 4:
                         raise FormatError("'box' must be a list of four numbers", path, line)
-                    box = tuple(_as_number(v, "'box' entry", path, line) for v in raw_box)
+                    box = tuple(
+                        located(path, line, _as_number, v, "'box' entry") for v in raw_box
+                    )
                 if not 0.0 <= confidence <= 1.0:
                     raise FormatError(
                         f"detection confidence must be in [0, 1], got {confidence}",
@@ -445,11 +455,11 @@ def reference_read_ground_truth(path, spec: ProcedureSpec | None = None):
                 message = getattr(exc, "msg", exc)
                 raise FormatError(f"invalid JSON: {message}", path, line) from None
             if manifest is None:
-                manifest = _parse_manifest(obj, "ground_truth", path, line)
+                manifest = located(path, line, _parse_manifest, obj, ("ground_truth",))
                 continue
             if not isinstance(obj, dict):
                 raise FormatError("state record must be a JSON object", path, line)
-            frame = _as_int(obj.get("frame"), "'frame'", path, line)
+            frame = located(path, line, _as_int, obj.get("frame"), "'frame'")
             if frame < 0:
                 raise FormatError(
                     f"frame index must be non-negative, got {frame}", path, line
@@ -490,7 +500,7 @@ def reference_read_ground_truth(path, spec: ProcedureSpec | None = None):
             state = states[state_text]
             confidence = 1.0
             if "conf" in obj:
-                confidence = _as_number(obj["conf"], "'conf'", path, line)
+                confidence = located(path, line, _as_number, obj["conf"], "'conf'")
                 if confidence < 0:
                     raise FormatError(f"'conf' must be >= 0, got {confidence}", path, line)
             if spec is None:

@@ -12,6 +12,7 @@ from helpers import independent_spec, linear_spec, maintenance_spec, sequence
 from psrkit.baselines import Detection, DetectionFrame
 from psrkit.cli import main
 from psrkit.formats import (
+    EventSource,
     FileManifest,
     load_builtin_procedure,
     read_ground_truth,
@@ -22,7 +23,6 @@ from psrkit.formats import (
 )
 from psrkit.model import (
     AssemblyState,
-    EventSource,
     ProceduralAction,
     ProcedureSpec,
     Transition,
@@ -418,6 +418,22 @@ class TestEval:
         assert row["f1"] == 1.0
         assert row["tau_s"] == pytest.approx(2.5)
 
+    def test_delays_summing_past_the_float_range_write_a_valid_report(self, tmp_path):
+        # two on-time delays of about 1e308 s: their sum overflows, their mean does not
+        spec_path, gt_path, pred_path = (tmp_path / n for n in ("c.json", "gt.jsonl", "p.jsonl"))
+        write_procedure(spec_path, linear_spec(2))
+        gt = sequence("rec", [("a0", 1e300, 0), ("a1", 2e300, 1)], fps=1e-300)
+        pred = sequence("rec", [("a0", 1e308, 0), ("a1", 1.2e308, 1)], fps=1e-300)
+        write_ground_truth(gt_path, gt, linear_spec(2))
+        write_ground_truth(pred_path, pred, linear_spec(2), source=EventSource.RECOGNIZED)
+        out = tmp_path / "r.json"
+        assert main(["eval", "--spec", str(spec_path), "--gt", str(gt_path),
+                     "--pred", str(pred_path), "--out", str(out), "--format", "json"]) == 0
+        document = json.loads(out.read_text(encoding="utf-8"))
+        assert document["recordings"][0]["tau_s"] == pytest.approx(1.1e308)
+        assert document["aggregates"]["all"]["tau_s"] == document["recordings"][0]["tau_s"]
+        assert main(["validate", str(out)]) == 0
+
     def test_mismatched_recording_ids(self, tmp_path, capsys):
         spec, scenario, paths = make_scenario_files(tmp_path)
         other = simulate(
@@ -557,9 +573,10 @@ class TestSimulateCommand:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("seed", ["null", "[1]", '{"a": 1}'])
+    @pytest.mark.parametrize("seed", ["null", "[1]", '{"a": 1}', "true"])
     def test_seed_random_cannot_reproduce_is_rejected(self, tmp_path, capsys, seed):
-        # a list or an object once exited 2; null drew an OS-random seed
+        # a list or an object once exited 2; null drew an OS-random seed, and
+        # true drew seed 1's recording as "…-seedTrue"
         config = tmp_path / "cfg.json"
         config.write_text(f'{{"seed": {seed}}}', encoding="utf-8")
         out = tmp_path / "sim"

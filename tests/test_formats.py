@@ -24,6 +24,7 @@ from psrkit.formats import (
     BUILTIN_PROCEDURES,
     _STEP_ROW,
     _STREAM_ROW,
+    EventSource,
     FileManifest,
     FormatError,
     iter_stream_file,
@@ -32,7 +33,6 @@ from psrkit.formats import (
     read_procedure,
     read_stream,
     report_to_row,
-    sniff_kind,
     validate_file,
     write_ground_truth,
     write_procedure,
@@ -43,7 +43,6 @@ from psrkit.formats import (
 from psrkit.metrics import MetricsReport
 from psrkit.model import (
     AssemblyState,
-    EventSource,
     ProcedureSpec,
     StepEvent,
     StepSequence,
@@ -321,8 +320,8 @@ class TestOneNumberRule:
         for site, make, accepted in sites:
             assert builds(make) is accepted, site
         try:
-            number = formats._as_number(value, "'x'", None, None)
-        except FormatError:
+            number = formats._as_number(value, "'x'")
+        except ValueError:
             assert not finite
         else:
             assert finite and number == float(value) and number.__class__ is float
@@ -437,8 +436,8 @@ class TestStreamErrors:
         with pytest.raises(FormatError, match="not valid UTF-8") as err:
             read_stream(path)
         assert err.value.line == 3
-        # the kind comes from line 1 alone
-        assert sniff_kind(path) == "stream"
+        # validate takes the kind from line 1 and names line 3
+        assert validate_file(path) == [f"{path}:3: file is not valid UTF-8: invalid start byte"]
 
 
 @pytest.fixture(scope="module")
@@ -624,11 +623,16 @@ class TestAgainstReferenceReader:
             ((ROW, "\x0c", ROW.encode().replace(b"0.5", b"0.5\xff")),
              ("file is not valid UTF-8: invalid start byte", 4)),
             ((ROW, "\x0c", ROW + ",{}"), ("invalid JSON: Extra data", 4)),
+            # not in the writer's shape, so Detection's own range check names it
+            (("  " + ROW.replace("0.5", "1.5"),),
+             ("detection confidence must be in [0, 1], got 1.5", 2)),
+            ((ROW.replace("0.5", '0.5,"box":{}'),), ("'box' must be a list of four numbers", 2)),
         ],
         ids=["extra-data", "bom", "boolean-conf", "boolean-frame", "null-detections",
              "frame-time-overflow", "on-the-manifest-line", "rows-split-by-cr",
              "writer-row-after-decoded-row", "row-not-object", "detection-not-object",
-             "utf8-error-after-form-feed", "json-error-after-form-feed"],
+             "utf8-error-after-form-feed", "json-error-after-form-feed", "conf-out-of-range",
+             "box-not-a-list"],
     )
     def test_rejected_rows(self, tmp_path, rows, expected):
         assert self.read_rows(tmp_path, *rows) == expected
@@ -1332,12 +1336,24 @@ class TestJsonDocumentBytes:
 
 class TestValidateFile:
     def test_kinds_are_sniffed(self, tmp_path, car_spec):
+        # a .jsonl file's kind is its manifest's, any other file's its document's
         stream_path = tmp_path / "s.jsonl"
         write_stream(stream_path, stream_manifest(), make_frames())
-        assert sniff_kind(stream_path) == "stream"
+        assert validate_file(stream_path) == []
         procedure_path = tmp_path / "p.json"
         write_procedure(procedure_path, car_spec)
-        assert sniff_kind(procedure_path) == "procedure"
+        assert validate_file(procedure_path) == []
+        report_path = tmp_path / "r.jsonl"
+        write_lines(report_path, [MANIFEST_LINE.replace('"stream"', '"report"')])
+        assert validate_file(report_path) == [
+            f"{report_path}:1: expected a stream or ground_truth file, found 'report'"
+        ]
+        document_path = tmp_path / "s.json"
+        document_path.write_text(MANIFEST_LINE, encoding="utf-8")
+        assert validate_file(document_path) == [
+            f"{document_path}: expected a procedure or scenario or report document, "
+            "found 'stream'"
+        ]
 
     def test_ground_truth_without_spec_is_structural(self, tmp_path, car_spec):
         path = tmp_path / "gt.jsonl"
@@ -1363,7 +1379,7 @@ class TestValidateFile:
             ("format_version", "1.0", "malformed format_version '1.0'"),
             ("format_version", "1.x.0", "malformed format_version '1.x.0'"),
             ("kind", "trace", "unknown file kind 'trace'"),
-            ("recording_id", 7, "recording_id must be a string"),
+            ("recording_id", 7, "recording_id must be a string, got 7"),
             ("fps", 0, "fps must be positive and finite, got 0.0"),
             ("fps", -2.5, "fps must be positive and finite, got -2.5"),
         ],

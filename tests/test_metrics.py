@@ -235,6 +235,14 @@ class TestAverageDelay:
         outcome = classify_events(table_ground_truth(), StepSequence("r", 1.0, ()))
         assert average_delay(outcome) is None
 
+    def test_finite_where_the_sum_overflows(self):
+        fps = 1e-300  # frame 1 is 1e300 s, frame 10**8 is 1e308 s
+        y = sequence("r", [("a0", 1e300, 0), ("a1", 2e300, 1)], fps=fps)
+        yhat = sequence("r", [("a0", 1.5e308, 0), ("a1", 1.7e308, 1)], fps=fps)
+        outcome = classify_events(y, yhat)
+        assert sum(outcome.delays()) == math.inf
+        assert average_delay(outcome) == pytest.approx(1.6e308)
+
 
 class TestEvaluateRecording:
     def test_perfect_row(self):
@@ -323,6 +331,11 @@ class TestAggregateReports:
     def test_undefined_tau_skipped(self):
         reports = [self.make_report("a", 1.0, 1.0, 2.0), self.make_report("b", 1.0, 1.0, None)]
         assert aggregate_reports(reports, Subset.ALL).tau_s == 2.0
+
+    def test_tau_mean_finite_where_the_sum_overflows(self):
+        taus = {"a": 1.5e308, "b": 1.7e308}
+        reports = [self.make_report(rid, 1.0, 1.0, tau) for rid, tau in taus.items()]
+        assert aggregate_reports(reports, Subset.ALL).tau_s == pytest.approx(1.6e308)
 
     def test_all_tau_undefined(self):
         reports = [self.make_report("a", 1.0, 1.0, None)]

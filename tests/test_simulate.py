@@ -94,7 +94,7 @@ class TestSimConfig:
             SimConfig(**{name: -0.5})
         assert str(err.value) == f"{name} must be >= 0"
 
-    @pytest.mark.parametrize("seed", [None, [1], {"a": 1}, b"seed"])
+    @pytest.mark.parametrize("seed", [None, [1], {"a": 1}, b"seed", True])
     def test_seed_random_cannot_reproduce_is_rejected(self, seed):
         with pytest.raises(ValueError) as err:
             SimConfig(seed=seed)
