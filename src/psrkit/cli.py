@@ -56,6 +56,9 @@ def load_spec(value: str) -> ProcedureSpec:
     return read_procedure(value)
 
 
+_SPEC_HELP = "procedure file, or a builtin name: " + ", ".join(BUILTIN_PROCEDURES)
+
+
 def cmd_validate(args) -> int:
     spec = load_spec(args.spec) if args.spec else None
     failures = 0
@@ -67,6 +70,13 @@ def cmd_validate(args) -> int:
     return EXIT_INPUT if failures else EXIT_OK
 
 
+def _validate_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("paths", nargs="+", help="files to validate")
+    p.add_argument(
+        "--spec", help=f"validate step and stream files against this procedure ({_SPEC_HELP})"
+    )
+
+
 def cmd_run(args) -> int:
     spec = load_spec(args.spec)
     config = BaselineConfig(Variant(args.baseline), args.threshold, args.decay)
@@ -75,6 +85,20 @@ def cmd_run(args) -> int:
     sequence = run_baseline(config, spec, frames, manifest.fps, manifest.recording_id)
     write_ground_truth(args.out, sequence, spec, source=EventSource.RECOGNIZED)
     return EXIT_OK
+
+
+def _run_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--baseline", required=True, choices=[v.value for v in Variant])
+    p.add_argument("--spec", required=True, help=_SPEC_HELP)
+    p.add_argument("--stream", required=True, help="detection stream file")
+    p.add_argument("--out", required=True, help="output prediction file")
+    p.add_argument(
+        "--threshold",
+        type=float,
+        help="b1: detection confidence threshold (default 0.5); "
+        "b2/b3: accumulation threshold (default 8.0)",
+    )
+    p.add_argument("--decay", type=float, help="b2/b3 confidence decay (default 0.75)")
 
 
 def cmd_eval(args) -> int:
@@ -91,6 +115,14 @@ def cmd_eval(args) -> int:
         json.dump(report_to_row(report), sys.stdout, indent=2)
         sys.stdout.write("\n")
     return EXIT_OK
+
+
+def _eval_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--spec", required=True, help=_SPEC_HELP)
+    p.add_argument("--gt", required=True, help="ground-truth step file")
+    p.add_argument("--pred", required=True, help="predicted step file")
+    p.add_argument("--out", help="report path (default: JSON to stdout)")
+    p.add_argument("--format", choices=["json", "csv"], default="json")
 
 
 def _build_sim_config(args) -> SimConfig:
@@ -123,6 +155,23 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+def _simulate_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--spec", required=True, help=_SPEC_HELP)
+    p.add_argument("--seed", type=int, help="random seed (overrides the config file)")
+    p.add_argument("--config", help="JSON file with simulation settings")
+    p.add_argument("--out-dir", required=True, help="directory for the output files")
+    p.add_argument("--omit", action="append", metavar="ACTION", help="skip this step")
+    p.add_argument(
+        "--incorrect", action="append", metavar="ACTION", help="complete this step incorrectly"
+    )
+    p.add_argument(
+        "--swap", action="append", type=int, metavar="POS",
+        help="swap the steps at positions POS and POS+1",
+    )
+    p.add_argument("--recording-id", help="recording id (default: derived from spec and seed)")
+    p.add_argument("--noiseless", action="store_true", help="perfect detector settings")
+
+
 def cmd_bench(args) -> int:
     spec = load_spec(args.spec)
     runs_dir = Path(args.runs)
@@ -147,76 +196,51 @@ def cmd_bench(args) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="psrkit",
-        description="Procedure step recognition: baselines, metrics, and simulation.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    spec_help = "procedure file, or a builtin name: " + ", ".join(BUILTIN_PROCEDURES)
-
-    p = sub.add_parser("validate", help="check files for format and consistency errors")
-    p.add_argument("paths", nargs="+", help="files to validate")
-    p.add_argument(
-        "--spec", help=f"validate step and stream files against this procedure ({spec_help})"
-    )
-    p.set_defaults(func=cmd_validate)
-
-    p = sub.add_parser("run", help="run a baseline recognizer over a detection stream")
-    p.add_argument("--baseline", required=True, choices=[v.value for v in Variant])
-    p.add_argument("--spec", required=True, help=spec_help)
-    p.add_argument("--stream", required=True, help="detection stream file")
-    p.add_argument("--out", required=True, help="output prediction file")
-    p.add_argument(
-        "--threshold",
-        type=float,
-        help="b1: detection confidence threshold (default 0.5); "
-        "b2/b3: accumulation threshold (default 8.0)",
-    )
-    p.add_argument("--decay", type=float, help="b2/b3 confidence decay (default 0.75)")
-    p.set_defaults(func=cmd_run)
-
-    p = sub.add_parser("eval", help="score a prediction file against its ground truth")
-    p.add_argument("--spec", required=True, help=spec_help)
-    p.add_argument("--gt", required=True, help="ground-truth step file")
-    p.add_argument("--pred", required=True, help="predicted step file")
-    p.add_argument("--out", help="report path (default: JSON to stdout)")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("simulate", help="generate a seeded synthetic recording")
-    p.add_argument("--spec", required=True, help=spec_help)
-    p.add_argument("--seed", type=int, help="random seed (overrides the config file)")
-    p.add_argument("--config", help="JSON file with simulation settings")
-    p.add_argument("--out-dir", required=True, help="directory for the output files")
-    p.add_argument("--omit", action="append", metavar="ACTION", help="skip this step")
-    p.add_argument(
-        "--incorrect", action="append", metavar="ACTION", help="complete this step incorrectly"
-    )
-    p.add_argument(
-        "--swap", action="append", type=int, metavar="POS",
-        help="swap the steps at positions POS and POS+1",
-    )
-    p.add_argument("--recording-id", help="recording id (default: derived from spec and seed)")
-    p.add_argument("--noiseless", action="store_true", help="perfect detector settings")
-    p.set_defaults(func=cmd_simulate)
-
-    p = sub.add_parser("bench", help="evaluate a directory of (gt, pred) pairs")
-    p.add_argument("--spec", required=True, help=spec_help)
+def _bench_options(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--spec", required=True, help=_SPEC_HELP)
     p.add_argument(
         "--runs", required=True,
         help="directory containing <id>.gt.jsonl and <id>.pred.jsonl pairs",
     )
     p.add_argument("--out", required=True, help="report path")
     p.add_argument("--format", choices=["json", "csv"], default="csv")
-    p.set_defaults(func=cmd_bench)
 
+
+# name: (help, command, options), in the order the top-level help lists them
+_COMMANDS = {
+    "validate": ("check files for format and consistency errors", cmd_validate, _validate_options),
+    "run": ("run a baseline recognizer over a detection stream", cmd_run, _run_options),
+    "eval": ("score a prediction file against its ground truth", cmd_eval, _eval_options),
+    "simulate": ("generate a seeded synthetic recording", cmd_simulate, _simulate_options),
+    "bench": ("evaluate a directory of (gt, pred) pairs", cmd_bench, _bench_options),
+}
+
+
+def build_parser(argv) -> argparse.ArgumentParser:
+    """The psrkit parser, with the options of the command argv names only.
+
+    Every command is registered, so the top-level help and the "invalid
+    choice" message list them all. The top level has no option that takes
+    a value, so the first element of argv that names a command is the one
+    argparse dispatches on; the other commands' options are never read.
+    """
+    parser = _Parser(
+        prog="psrkit",
+        description="Procedure step recognition: baselines, metrics, and simulation.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    selected = next((arg for arg in argv if arg in _COMMANDS), None)
+    for name, (help_text, func, add_options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == selected:
+            add_options(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except _UsageError as exc:

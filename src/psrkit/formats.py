@@ -34,7 +34,6 @@ from .model import (
     StepEvent,
     StepSequence,
     Transition,
-    apply_transition,
     diff_states,
     finite_number,
     parse_state_text,
@@ -466,16 +465,21 @@ def _writable_base_state(
     return AssemblyState(statuses)
 
 
+# the status text each transition leaves in a step file's state
+_TARGET_TOKEN = {t: str(int(transition_target(t))) for t in Transition}
+
+
 def write_ground_truth(
     path, sequence: StepSequence, spec: ProcedureSpec, source=EventSource.GROUND_TRUTH
 ) -> None:
     """Write a step sequence as state rows (inverse of read_ground_truth).
 
     Each row is one format string: StepEvent's int frame and finite conf
-    go through json.dumps, as they would in a row dict's json.dumps. An
-    event that read_ground_truth would read back as another raises
-    ValueError before the file is opened: a component outside the
-    procedure, or an action id other than the procedure's step_id.
+    go through int.__repr__ / float.__repr__, which json.dumps calls, so
+    int and float subclasses keep json.dumps's bytes. An event that
+    read_ground_truth would read back as another raises ValueError before
+    the file is opened: a component outside the procedure, or an action
+    id other than the procedure's step_id.
     """
     n = spec.n_components
     for event in sequence.events:
@@ -497,12 +501,15 @@ def write_ground_truth(
         fps=sequence.fps,
         source=source,
     )
+    tokens = serialize_state(state).split(",")  # one status text per component
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(manifest.to_json() + "\n")
-        handle.write('{"frame":0,"state":"%s"}\n' % serialize_state(state))
+        handle.write('{"frame":0,"state":"%s"}\n' % ",".join(tokens))
         for event in sequence.events:
-            state = apply_transition(state, event.component, event.transition)
-            row = (json.dumps(event.frame), serialize_state(state), json.dumps(event.confidence))
+            tokens[event.component] = _TARGET_TOKEN[event.transition]
+            conf = event.confidence
+            conf_text = float.__repr__(conf) if isinstance(conf, float) else int.__repr__(conf)
+            row = (int.__repr__(event.frame), ",".join(tokens), conf_text)
             handle.write('{"frame":%s,"state":"%s","conf":%s}\n' % row)
 
 

@@ -945,3 +945,153 @@ class TestUsage:
         with pytest.raises(SystemExit) as excinfo:
             main(["--help"])
         assert excinfo.value.code == 0
+
+
+class TestCliText:
+    """Help and usage-error texts, byte for byte, at an 80-column terminal."""
+
+    HELP = {
+        ("--help",): '''\
+usage: psrkit [-h] {validate,run,eval,simulate,bench} ...
+
+Procedure step recognition: baselines, metrics, and simulation.
+
+positional arguments:
+  {validate,run,eval,simulate,bench}
+    validate            check files for format and consistency errors
+    run                 run a baseline recognizer over a detection stream
+    eval                score a prediction file against its ground truth
+    simulate            generate a seeded synthetic recording
+    bench               evaluate a directory of (gt, pred) pairs
+
+options:
+  -h, --help            show this help message and exit
+''',
+        ("validate", "--help"): '''\
+usage: psrkit validate [-h] [--spec SPEC] paths [paths ...]
+
+positional arguments:
+  paths        files to validate
+
+options:
+  -h, --help   show this help message and exit
+  --spec SPEC  validate step and stream files against this procedure
+               (procedure file, or a builtin name: industreal_car_assembly,
+               industreal_car_maintenance)
+''',
+        ("run", "--help"): '''\
+usage: psrkit run [-h] --baseline {b1,b2,b3} --spec SPEC --stream STREAM --out
+                  OUT [--threshold THRESHOLD] [--decay DECAY]
+
+options:
+  -h, --help            show this help message and exit
+  --baseline {b1,b2,b3}
+  --spec SPEC           procedure file, or a builtin name:
+                        industreal_car_assembly, industreal_car_maintenance
+  --stream STREAM       detection stream file
+  --out OUT             output prediction file
+  --threshold THRESHOLD
+                        b1: detection confidence threshold (default 0.5);
+                        b2/b3: accumulation threshold (default 8.0)
+  --decay DECAY         b2/b3 confidence decay (default 0.75)
+''',
+        ("eval", "--help"): '''\
+usage: psrkit eval [-h] --spec SPEC --gt GT --pred PRED [--out OUT]
+                   [--format {json,csv}]
+
+options:
+  -h, --help           show this help message and exit
+  --spec SPEC          procedure file, or a builtin name:
+                       industreal_car_assembly, industreal_car_maintenance
+  --gt GT              ground-truth step file
+  --pred PRED          predicted step file
+  --out OUT            report path (default: JSON to stdout)
+  --format {json,csv}
+''',
+        ("simulate", "--help"): '''\
+usage: psrkit simulate [-h] --spec SPEC [--seed SEED] [--config CONFIG]
+                       --out-dir OUT_DIR [--omit ACTION] [--incorrect ACTION]
+                       [--swap POS] [--recording-id RECORDING_ID]
+                       [--noiseless]
+
+options:
+  -h, --help            show this help message and exit
+  --spec SPEC           procedure file, or a builtin name:
+                        industreal_car_assembly, industreal_car_maintenance
+  --seed SEED           random seed (overrides the config file)
+  --config CONFIG       JSON file with simulation settings
+  --out-dir OUT_DIR     directory for the output files
+  --omit ACTION         skip this step
+  --incorrect ACTION    complete this step incorrectly
+  --swap POS            swap the steps at positions POS and POS+1
+  --recording-id RECORDING_ID
+                        recording id (default: derived from spec and seed)
+  --noiseless           perfect detector settings
+''',
+        ("bench", "--help"): '''\
+usage: psrkit bench [-h] --spec SPEC --runs RUNS --out OUT
+                    [--format {json,csv}]
+
+options:
+  -h, --help           show this help message and exit
+  --spec SPEC          procedure file, or a builtin name:
+                       industreal_car_assembly, industreal_car_maintenance
+  --runs RUNS          directory containing <id>.gt.jsonl and <id>.pred.jsonl
+                       pairs
+  --out OUT            report path
+  --format {json,csv}
+''',
+    }
+    # -h acts where it stands: before the command it prints the top-level help
+    HELP[("-h", "run")] = HELP[("--help",)]
+
+    COMMANDS = "'validate', 'run', 'eval', 'simulate', 'bench'"
+    RUN = ["--spec", "toy", "--stream", "s", "--out", "o"]
+    USAGE_ERRORS = [
+        ([], "the following arguments are required: command"),
+        (["bogus"], f"argument command: invalid choice: 'bogus' (choose from {COMMANDS})"),
+        (["run"], "the following arguments are required: --baseline, --spec, --stream, --out"),
+        (
+            ["run", "--baseline", "b9", *RUN],
+            "argument --baseline: invalid choice: 'b9' (choose from 'b1', 'b2', 'b3')",
+        ),
+        (["run", "--baseline", "b1", *RUN, "--bogus"], "unrecognized arguments: --bogus"),
+        (
+            ["--bogus", "run", "--baseline", "b1"],
+            "the following arguments are required: --spec, --stream, --out",
+        ),
+        (["--", "run"], f"argument command: invalid choice: '--' (choose from {COMMANDS})"),
+        (["simulate", "--swap", "x"], "argument --swap: invalid int value: 'x'"),
+        (
+            ["eval", "--spec", "x", "--gt", "g", "--pred", "p", "--format", "xml"],
+            "argument --format: invalid choice: 'xml' (choose from 'json', 'csv')",
+        ),
+        (["bench"], "the following arguments are required: --spec, --runs, --out"),
+        (["validate"], "the following arguments are required: paths"),
+        (["simulate", "--spec", "x"], "the following arguments are required: --out-dir"),
+    ]
+
+    @pytest.fixture(autouse=True)
+    def columns(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+    @pytest.mark.parametrize("argv", list(HELP), ids=" ".join)
+    def test_help_text(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(list(argv))
+        assert excinfo.value.code == 0
+        assert capsys.readouterr() == (self.HELP[argv], "")
+
+    @pytest.mark.parametrize(
+        "argv, message", USAGE_ERRORS, ids=[" ".join(argv) or "none" for argv, _ in USAGE_ERRORS]
+    )
+    def test_usage_error_text(self, argv, message, capsys):
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", f"psrkit: {message}\n")
+
+    def test_argv_defaults_to_sys_argv(self, monkeypatch, capsys):
+        # sys.argv[0] is the program, so psrkit parses ["run"], not ["psrkit", "run"]
+        monkeypatch.setattr(sys, "argv", ["psrkit", "run"])
+        assert main() == 1
+        err = "psrkit: the following arguments are required: --baseline, --spec, --stream, --out\n"
+        assert capsys.readouterr() == ("", err)
